@@ -224,7 +224,8 @@ int main(int argc, char** argv) {
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
 
-    std::string point = "c" + std::to_string(c);
+    std::string point = "c";
+    point += std::to_string(c);  // not "c" + ...: GCC 12 -Wrestrict
     report.AddMetric("csd.read." + point + ".hit_gets_per_sec",
                      hit_gets_per_sec);
     report.AddMetric("csd.read." + point + ".miss_gets_per_sec",

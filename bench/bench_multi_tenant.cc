@@ -289,7 +289,8 @@ int main(int argc, char** argv) {
     }
 
     // Per-tenant latency distributions (separable by stats prefix).
-    const std::string qtag = "q" + std::to_string(queues);
+    std::string qtag = "q";
+    qtag += std::to_string(queues);  // not "q" + ...: GCC 12 -Wrestrict
     for (std::uint32_t t = 0; t < tenants; ++t) {
       const std::string prefix = "client.t" + std::to_string(t) + ".";
       const auto put_summary =

@@ -441,7 +441,8 @@ int main(int argc, char** argv) {
       all_ok = false;
     }
 
-    const std::string tag = "n" + std::to_string(shards);
+    std::string tag = "n";
+    tag += std::to_string(shards);  // not "n" + ...: GCC 12 -Wrestrict
     report.AddMetric("csd.shard." + tag + ".put_keys_per_sec",
                      point.put_per_sec);
     report.AddMetric("csd.shard." + tag + ".get_keys_per_sec",

@@ -1,6 +1,7 @@
 #include "client/client.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/coding.h"
 #include "sim/simulation.h"
@@ -42,24 +43,8 @@ void Client::StampCommand(nvme::Command* command, Tick begin) {
 }
 
 sim::Task<nvme::Completion> Client::Call(nvme::Command command) {
-  const nvme::Opcode op = command.opcode;
-  sim::Simulation* sim = queues_->sim();
-  const Tick begin = sim->Now();
-  sim::TraceSpan span(sim, "client", nvme::OpcodeName(op));
-  StampCommand(&command, begin);
-  span.Arg("cmd_id", command.cmd_id);
-  // Userspace driver work on the host: packing + doorbell. No kernel.
-  co_await host_cpu_->Compute(costs_.syscall_overhead);
-  nvme::Completion completion =
-      co_await SubmitPair()->Submit(std::move(command));
-  // Host-visible round trip, including the client-side driver compute —
-  // what an application would measure around a Put/Get call.
-  if (const char* cls = nvme::OpcodeLatencyClass(op)) {
-    sim->stats()
-        .histogram(config_.stats_prefix + "cmd." + cls + "_ns")
-        .Record(sim->Now() - begin);
-  }
-  co_return completion;
+  CallFuture call = co_await CallAsync(std::move(command));
+  co_return co_await call.Await();
 }
 
 sim::Task<void> Client::Reactor() {
@@ -67,20 +52,22 @@ sim::Task<void> Client::Reactor() {
   for (;;) {
     std::shared_ptr<nvme::ReplyState> state = co_await cq_ring_.Pop();
     const Tick now = sim->Now();
+    // Host-visible round trip from the submit stamp, including the
+    // client-side driver compute — what an application would measure
+    // around a Put/Get call.
     if (const char* cls = nvme::OpcodeLatencyClass(state->opcode)) {
       sim->stats()
           .histogram(config_.stats_prefix + "cmd." + cls + "_ns")
           .Record(now - state->submit_begin);
     }
     if (sim->tracer().enabled() && state->cmd_id != 0) {
-      // The async client span: submit stamp -> reap. Mirrors what the
-      // RAII span records on the synchronous path.
+      // The client span: submit stamp -> reap.
       sim->tracer().CompleteSpan(
           sim->tracer().Track("client"), nvme::OpcodeName(state->opcode),
           state->submit_begin, now,
           {{"cmd_id", std::to_string(state->cmd_id)}});
     }
-    --async_inflight_;
+    --inflight_;
     window_.Release();
     state->done.Set();
   }
@@ -93,67 +80,66 @@ void Client::EnsureReactor() {
 }
 
 sim::Task<CallFuture> Client::CallAsync(nvme::Command command) {
-  sim::Simulation* sim = queues_->sim();
-  const Tick begin = sim->Now();
-  StampCommand(&command, begin);
-  EnsureReactor();
-  co_await window_.Acquire();
-  ++async_inflight_;
-  co_await host_cpu_->Compute(costs_.syscall_overhead);
-  std::shared_ptr<nvme::ReplyState> state =
-      co_await SubmitPair()->SubmitAsync(std::move(command), &cq_ring_);
-  co_return CallFuture(std::move(state));
+  std::vector<nvme::Command> batch;
+  batch.push_back(std::move(command));
+  std::vector<CallFuture> futures = co_await Submit(std::move(batch));
+  co_return std::move(futures.front());
 }
 
 sim::Task<std::vector<CallFuture>> Client::CallBatchAsync(
     std::vector<nvme::Command> commands) {
-  sim::Simulation* sim = queues_->sim();
   std::vector<CallFuture> futures;
   futures.reserve(commands.size());
-  if (commands.empty()) co_return futures;
-  EnsureReactor();
-  const std::uint32_t window_cap = std::max<std::uint32_t>(
-      config_.max_inflight, 1);
-  std::size_t next = 0;
-  while (next < commands.size()) {
-    // Chunk to the admission window so the permit acquisition below can
-    // never wait on completions of this very batch.
+  const std::size_t window_cap =
+      std::max<std::uint32_t>(config_.max_inflight, 1);
+  for (std::size_t next = 0; next < commands.size();) {
+    // Chunk to the admission window so Submit's permit acquisition can
+    // never wait on completions of this very chunk.
     const std::size_t chunk =
         std::min<std::size_t>(commands.size() - next, window_cap);
-    // Only one batch may hold partial window permits at a time. With
-    // several batch submitters racing, interleaved acquisition could
-    // carve the window up among callers that each park waiting for the
-    // rest — nothing submitted, nothing completes, nothing released.
-    // The gate holder's missing permits always come from commands that
-    // are already in flight (if none were, the window would be whole and
-    // the chunk-sized acquisition below could not block), so holding the
-    // gate across the acquisition loop cannot stall.
-    co_await batch_gate_.Acquire();
-    const Tick begin = sim->Now();
-    std::vector<nvme::Command> batch;
-    batch.reserve(chunk);
-    for (std::size_t i = 0; i < chunk; ++i) {
-      StampCommand(&commands[next + i], begin);
-      batch.push_back(std::move(commands[next + i]));
-    }
-    for (std::size_t i = 0; i < chunk; ++i) {
-      co_await window_.Acquire();
-      ++async_inflight_;
-    }
-    // All permits held: the gate has done its job. Release before the
-    // doorbell so concurrent batches pipeline on the submit path instead
-    // of serializing behind each other's DMA setup.
-    batch_gate_.Release();
-    // One doorbell ring on the host side for the whole chunk.
-    co_await host_cpu_->Compute(costs_.syscall_overhead);
-    nvme::QueuePair* pair = SubmitPair();
-    std::vector<std::shared_ptr<nvme::ReplyState>> states =
-        co_await pair->SubmitBatch(std::move(batch), &cq_ring_);
-    for (auto& state : states) {
-      futures.push_back(CallFuture(std::move(state)));
-    }
+    std::vector<nvme::Command> batch(
+        std::make_move_iterator(commands.begin() + next),
+        std::make_move_iterator(commands.begin() + next + chunk));
+    std::vector<CallFuture> submitted = co_await Submit(std::move(batch));
+    for (auto& future : submitted) futures.push_back(std::move(future));
     next += chunk;
   }
+  co_return futures;
+}
+
+sim::Task<std::vector<CallFuture>> Client::Submit(
+    std::vector<nvme::Command> commands) {
+  sim::Simulation* sim = queues_->sim();
+  EnsureReactor();
+  // Only one multi-command submission may hold partial window permits at
+  // a time. With several batch submitters racing, interleaved acquisition
+  // could carve the window up among callers that each park waiting for
+  // the rest — nothing submitted, nothing completes, nothing released.
+  // The gate holder's missing permits always come from commands that are
+  // already in flight (if none were, the window would be whole and the
+  // chunk-sized acquisition below could not block), so holding the gate
+  // across the acquisition loop cannot stall. A single command never
+  // holds a partial set, so it skips the gate.
+  const bool gated = commands.size() > 1;
+  if (gated) co_await batch_gate_.Acquire();
+  const Tick begin = sim->Now();
+  for (nvme::Command& command : commands) StampCommand(&command, begin);
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    co_await window_.Acquire();
+    ++inflight_;
+  }
+  // All permits held: release the gate before the doorbell so concurrent
+  // batches pipeline on the submit path instead of serializing behind
+  // each other's DMA setup.
+  if (gated) batch_gate_.Release();
+  // Userspace driver work on the host: packing + one doorbell ring for
+  // the whole chunk. No kernel.
+  co_await host_cpu_->Compute(costs_.syscall_overhead);
+  std::vector<std::shared_ptr<nvme::ReplyState>> states =
+      co_await SubmitPair()->Submit(std::move(commands), &cq_ring_);
+  std::vector<CallFuture> futures;
+  futures.reserve(states.size());
+  for (auto& state : states) futures.push_back(CallFuture(std::move(state)));
   co_return futures;
 }
 
@@ -238,29 +224,13 @@ sim::Task<Status> Client::DropKeyspace(const std::string& name) {
 }
 
 sim::Task<Result<nvme::HealthPage>> Client::GetHealth() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = nvme::LogPageId::kHealth;
-  auto completion = co_await Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  nvme::HealthPage page;
-  if (!nvme::DecodeHealthPage(completion.value, &page)) {
-    co_return Status::Corruption("bad health log page");
-  }
-  co_return page;
+  HealthFuture health = co_await GetHealthAsync();
+  co_return co_await health.Await();
 }
 
 sim::Task<Result<nvme::StatsPage>> Client::GetStats() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = nvme::LogPageId::kStats;
-  auto completion = co_await Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  nvme::StatsPage page;
-  if (!nvme::DecodeStatsPage(completion.value, &page)) {
-    co_return Status::Corruption("bad stats log page");
-  }
-  co_return page;
+  StatsPageFuture stats_page = co_await GetStatsAsync();
+  co_return co_await stats_page.Await();
 }
 
 sim::Task<HealthFuture> Client::GetHealthAsync() {
@@ -285,13 +255,8 @@ sim::Task<StatsPageFuture> Client::GetStatsAsync() {
 
 sim::Task<Status> KeyspaceHandle::Put(const std::string& key,
                                       const std::string& value) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvStore;
-  cmd.keyspace_id = id_;
-  cmd.key = key;
-  cmd.value = value;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  StatusFuture put = co_await PutAsync(key, value);
+  co_return co_await put.Await();
 }
 
 sim::Task<StatusFuture> KeyspaceHandle::PutAsync(const std::string& key,
@@ -306,12 +271,8 @@ sim::Task<StatusFuture> KeyspaceHandle::PutAsync(const std::string& key,
 }
 
 sim::Task<Status> KeyspaceHandle::Delete(const std::string& key) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvDelete;
-  cmd.keyspace_id = id_;
-  cmd.key = key;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  StatusFuture del = co_await DeleteAsync(key);
+  co_return co_await del.Await();
 }
 
 sim::Task<StatusFuture> KeyspaceHandle::DeleteAsync(const std::string& key) {
@@ -484,13 +445,8 @@ sim::Task<Status> KeyspaceHandle::CreateSecondaryIndexF32(
 }
 
 sim::Task<Result<std::string>> KeyspaceHandle::Get(const std::string& key) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvRetrieve;
-  cmd.keyspace_id = id_;
-  cmd.key = key;
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  co_return std::move(completion.value);
+  GetFuture get = co_await GetAsync(key);
+  co_return co_await get.Await();
 }
 
 sim::Task<Status> KeyspaceHandle::Scan(
@@ -556,14 +512,16 @@ nvme::Command MakePushdownCommand(std::uint64_t keyspace_id, nvme::Opcode op,
 sim::Task<Status> KeyspaceHandle::Select(
     const std::string& lo, const std::string& hi, const SelectOptions& opts,
     std::vector<std::pair<std::string, std::string>>* out) {
-  return SelectCall(
-      MakePushdownCommand(id_, nvme::Opcode::kKvSelect, lo, hi, opts), out);
+  nvme::Command cmd =
+      MakePushdownCommand(id_, nvme::Opcode::kKvSelect, lo, hi, opts);
+  return SelectCall(std::move(cmd), out);
 }
 
 sim::Task<SelectFuture> KeyspaceHandle::SelectAsync(
     const std::string& lo, const std::string& hi, const SelectOptions& opts) {
-  return SelectCallAsync(
-      MakePushdownCommand(id_, nvme::Opcode::kKvSelect, lo, hi, opts));
+  nvme::Command cmd =
+      MakePushdownCommand(id_, nvme::Opcode::kKvSelect, lo, hi, opts);
+  return SelectCallAsync(std::move(cmd));
 }
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::Aggregate(
@@ -601,9 +559,10 @@ sim::Task<AggregateFuture> KeyspaceHandle::AggregateAsync(
 sim::Task<Status> KeyspaceHandle::SelectCall(
     nvme::Command cmd,
     std::vector<std::pair<std::string, std::string>>* out) {
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  for (auto& pair : completion.results) out->push_back(std::move(pair));
+  SelectFuture select = co_await SelectCallAsync(std::move(cmd));
+  Result<SelectFuture::Rows> rows = co_await select.Await();
+  if (!rows.ok()) co_return rows.status();
+  for (auto& pair : *rows) out->push_back(std::move(pair));
   co_return Status::Ok();
 }
 
@@ -614,9 +573,8 @@ sim::Task<SelectFuture> KeyspaceHandle::SelectCallAsync(nvme::Command cmd) {
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::AggregateCall(
     nvme::Command cmd) {
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  co_return completion.agg;
+  AggregateFuture aggregate = co_await AggregateCallAsync(std::move(cmd));
+  co_return co_await aggregate.Await();
 }
 
 sim::Task<AggregateFuture> KeyspaceHandle::AggregateCallAsync(

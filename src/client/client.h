@@ -17,10 +17,14 @@
 //     co_await ks.QuerySecondaryRangeF32("energy", 1.2f, 9e9f, 0, &hits);
 //   }
 //
-// Async path (DESIGN.md §11): PutAsync/GetAsync return futures immediately
-// after the submission DMA; a per-client reactor coroutine reaps
-// completions off the client's CQ ring, so many commands ride the wire
-// concurrently under one bounded in-flight window:
+// Every call, sync or async, takes one path (DESIGN.md §11): the command
+// is stamped, takes an admission-window permit (config.max_inflight),
+// pays the userspace driver cost and rings one doorbell; a per-client
+// reactor coroutine reaps completions off the client's CQ ring. The
+// *Async methods return a future right after the submission DMA, and each
+// sync method is its async twin plus Await() — so sync and async traffic
+// from one client share the same window, and many commands can ride the
+// wire concurrently:
 //
 //   std::deque<client::StatusFuture> window;
 //   for (...) {
@@ -58,9 +62,10 @@ struct ClientConfig {
   // Bulk-put frame capacity (the paper's prototype uses 128 KB messages).
   std::uint64_t bulk_frame_bytes = KiB(128);
 
-  // --- async path ---
-  // Admission window: CallAsync blocks once this many commands from this
-  // client are submitted-but-unreaped (bounds memory and queue depth).
+  // --- admission and pipelining ---
+  // Admission window: a call (sync or async) blocks before submission once
+  // this many commands from this client are submitted-but-unreaped (bounds
+  // memory and queue depth).
   std::uint32_t max_inflight = 64;
   // BulkWriter pipelining: how many bulk frames may be in flight at once.
   // 1 recovers the fully synchronous flush-per-frame behavior.
@@ -283,7 +288,9 @@ class KeyspaceHandle {
   // secondary indexes, built in one pass without re-reading the keyspace.
   sim::Task<Status> CompactWithIndexes(
       std::vector<nvme::SecondaryIndexSpec> specs);
-  // Blocks until the device reports the keyspace COMPACTED.
+  // Blocks until no (re)compaction of this keyspace is running, then
+  // returns the status of the last one — a failed background compaction
+  // (e.g. kOutOfSpace) surfaces here. Ok if none has run.
   sim::Task<Status> WaitCompaction();
 
   // --- secondary indexes ---
@@ -366,8 +373,9 @@ class KeyspaceHandle {
   KeyspaceHandle(Client* client, std::uint64_t id)
       : client_(client), id_(id) {}
 
-  // Coroutine bodies behind Select/Aggregate: own the fully-built command
-  // by value, so no argument lifetime leaks into the frame.
+  // Coroutine bodies behind Select/Aggregate and their async twins: own
+  // the fully-built command by value, so no argument lifetime leaks into
+  // the frame.
   sim::Task<Status> SelectCall(
       nvme::Command cmd,
       std::vector<std::pair<std::string, std::string>>* out);
@@ -407,21 +415,27 @@ class Client {
   // put/get/range/secondary_range classes.
   sim::Stats& stats();
 
-  // Commands submitted through CallAsync and not yet reaped.
-  std::uint64_t async_inflight() const { return async_inflight_; }
+  // Commands submitted and not yet reaped (admission-window permits held).
+  std::uint64_t inflight() const { return inflight_; }
 
  private:
   friend class KeyspaceHandle;
 
-  // Client-side cost (packing, doorbell) + submit + await completion.
+  // CallAsync + Await: the round trip an application measures.
   sim::Task<nvme::Completion> Call(nvme::Command command);
-  // Decoupled variant: returns once the command is on the device's SQ;
+  // A batch of one: returns once the command is on the device's SQ;
   // completion arrives through the future, reaped by the reactor.
   sim::Task<CallFuture> CallAsync(nvme::Command command);
-  // Batched variant: all commands ring one doorbell on one SQ (split into
-  // admission-window-sized chunks), so the per-command DMA-setup latency
-  // amortizes across the batch.
+  // Splits `commands` into admission-window-sized chunks and submits each
+  // with one doorbell on one SQ, so the per-command DMA-setup latency
+  // amortizes across the chunk.
   sim::Task<std::vector<CallFuture>> CallBatchAsync(
+      std::vector<nvme::Command> commands);
+  // The one submission coroutine behind every call: stamps each command,
+  // acquires one window permit per command, charges the driver cost once
+  // and rings one doorbell. `commands` must fit the window; chunks of more
+  // than one command serialize their permit acquisition on batch_gate_.
+  sim::Task<std::vector<CallFuture>> Submit(
       std::vector<nvme::Command> commands);
 
   // Reaps completions off cq_ring_: records round-trip latency, releases
@@ -439,13 +453,13 @@ class Client {
   hostenv::CostModel costs_;
   ClientConfig config_;
   sim::Semaphore window_;
-  // Serializes window-permit acquisition across concurrent batch
-  // submitters (see CallBatchAsync). Single callers bypass it.
+  // Serializes window-permit acquisition across concurrent multi-command
+  // submissions (see Submit). Single commands bypass it.
   sim::Semaphore batch_gate_;
   nvme::CqRing cq_ring_;
   bool reactor_started_ = false;
   std::uint32_t rr_cursor_ = 0;
-  std::uint64_t async_inflight_ = 0;
+  std::uint64_t inflight_ = 0;
 };
 
 }  // namespace kvcsd::client

@@ -19,6 +19,18 @@ unsigned g_health_dumps = 0;         // NOLINT
 std::string g_flight_dump_path;      // NOLINT
 Tick g_flight_slo_exec_ns = 0;       // NOLINT
 bool g_flight_dump_on_busy = false;  // NOLINT
+
+// `base` for a bench's first dump, `base.<n>` for the n-th after it: one
+// file per simulation. Appends piecewise rather than `"." + to_string(n)`,
+// which trips a false-positive -Wrestrict in GCC 12 at -O3.
+std::string NthDumpPath(const std::string& base, unsigned n) {
+  std::string path = base;
+  if (n > 0) {
+    path += '.';
+    path += std::to_string(n);
+  }
+  return path;
+}
 }  // namespace
 
 void TraceRequest::Set(std::string path) {
@@ -35,9 +47,7 @@ void TraceRequest::EnableOn(sim::Simulation* sim) {
 void TraceRequest::Dump(sim::Simulation* sim) {
   if (!active() || !sim->tracer().enabled()) return;
   if (sim->tracer().size() == 0) return;
-  std::string path = g_trace_path;
-  if (g_dumps > 0) path += "." + std::to_string(g_dumps);
-  ++g_dumps;
+  const std::string path = NthDumpPath(g_trace_path, g_dumps++);
   Status s = sim->tracer().WriteFile(path);
   if (s.ok()) {
     std::printf("trace written to %s (%zu events", path.c_str(),
@@ -67,9 +77,8 @@ void TelemetryRequest::EnableOn(sim::Simulation* sim) {
 void TelemetryRequest::Dump(sim::Simulation* sim) {
   if (!active() || !sim->telemetry().enabled()) return;
   if (sim->telemetry().size() == 0) return;
-  std::string path = g_telemetry_path;
-  if (g_telemetry_dumps > 0) path += "." + std::to_string(g_telemetry_dumps);
-  ++g_telemetry_dumps;
+  const std::string path =
+      NthDumpPath(g_telemetry_path, g_telemetry_dumps++);
   Status s = sim->telemetry().WriteFile(path);
   if (s.ok()) {
     std::printf("telemetry written to %s (%zu samples", path.c_str(),
@@ -93,9 +102,7 @@ bool HealthRequest::active() { return !g_health_path.empty(); }
 
 void HealthRequest::Dump(device::Device* device) {
   if (!active()) return;
-  std::string path = g_health_path;
-  if (g_health_dumps > 0) path += "." + std::to_string(g_health_dumps);
-  ++g_health_dumps;
+  const std::string path = NthDumpPath(g_health_path, g_health_dumps++);
   std::ofstream out(path);
   if (!out) {
     std::printf("FAILED to write health page: %s\n", path.c_str());

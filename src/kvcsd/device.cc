@@ -499,8 +499,8 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
         }
         sim_->Spawn([](Device* device, Keyspace* target,
                        std::uint64_t trigger) -> sim::Task<void> {
-          Status s = co_await device->RecompactKeyspace(target, trigger);
-          (void)s;  // failure rolls back to COMPACTED; surfaced via Stat
+          // Failure rolls back to COMPACTED; kCompactWait reports it.
+          (void)co_await device->RecompactKeyspace(target, trigger);
         }(this, ks, cmd.cmd_id));
         out.status = Status::Ok();
         break;
@@ -533,9 +533,9 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       sim_->Spawn([](Device* device, Keyspace* target,
                      std::vector<nvme::SecondaryIndexSpec> fused,
                      std::uint64_t trigger) -> sim::Task<void> {
-        Status s =
-            co_await device->CompactKeyspace(target, std::move(fused), trigger);
-        (void)s;  // failure rolls back to WRITABLE; surfaced via Stat
+        // Failure rolls back to WRITABLE; kCompactWait reports it.
+        (void)co_await device->CompactKeyspace(target, std::move(fused),
+                                               trigger);
       }(this, ks, std::move(specs), cmd.cmd_id));
       out.status = Status::Ok();
       break;
@@ -548,7 +548,7 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
              ks->state == KeyspaceState::kRecompacting) {
         co_await CompactionDone(ks->id)->Wait();
       }
-      out.status = Status::Ok();
+      out.status = ks->last_compaction;
       break;
     case nvme::Opcode::kSecondaryBuild:
       out.status = co_await BuildSecondaryIndex(ks, cmd.sidx);
@@ -679,8 +679,9 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
   ks->state = KeyspaceState::kRecompacting;
   CompactionDone(ks->id)->Reset();
   sim_->Spawn([](Device* device, Keyspace* target) -> sim::Task<void> {
-    Status s = co_await device->RecompactKeyspace(target);
-    (void)s;  // failure rolls back to COMPACTED; retried at next crossing
+    // Failure rolls back to COMPACTED (retried at the next crossing);
+    // kCompactWait reports it.
+    (void)co_await device->RecompactKeyspace(target);
   }(this, ks));
 }
 

@@ -141,6 +141,11 @@ struct Keyspace {
   // (new readers block in AwaitQueryable once the state flips), so the
   // cluster swap can never happen under an in-flight scan. Not persisted.
   std::uint32_t active_readers = 0;
+
+  // Outcome of the most recent background compaction or fold, set before
+  // its completion event fires and returned by kCompactWait, so a failure
+  // that rolled the state back still reaches the host. Not persisted.
+  Status last_compaction = Status::Ok();
 };
 
 }  // namespace kvcsd::device

@@ -133,6 +133,7 @@ sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
       (void)co_await keyspace_manager_.Persist();
     }
   }
+  ks->last_compaction = result;
   CompactionDone(ks->id)->Set();
   co_await MaybeFinishPendingDelete(ks);
   co_return result;

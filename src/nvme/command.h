@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@ enum class Opcode : std::uint8_t {
   kKeyspaceDrop = 0xc2,
   kBulkStore = 0xc3,
   kCompact = 0xc4,          // trigger deferred compaction (async)
-  kCompactWait = 0xc5,      // block until compaction completes
+  kCompactWait = 0xc5,      // await compaction; returns its status
   kSecondaryBuild = 0xc6,   // build a secondary index (blocks until done)
   kQueryPrimaryRange = 0xc7,
   kQuerySecondaryRange = 0xc8,
@@ -154,9 +155,9 @@ struct Command {
   // (commands built directly by tests).
   std::uint64_t cmd_id = 0;
   // Host tick at which the client started preparing this command; the
-  // submit-stage histogram measures from here to SQ enqueue. 0 = unset
-  // (the queue falls back to its own entry tick).
-  Tick submit_tick = 0;
+  // submit-stage histogram measures from here to SQ enqueue. Unset (the
+  // queue measures from its doorbell instead) is distinct from tick 0.
+  std::optional<Tick> submit_tick;
   std::uint64_t keyspace_id = 0;   // resolved keyspace handle
   std::string name;                // keyspace name (create/open/drop)
   std::string key;                 // single-key ops / range start

@@ -7,43 +7,27 @@
 
 namespace kvcsd::nvme {
 
-QueuePair::QueuePair(sim::Simulation* sim, const PcieConfig& config)
-    : sim_(sim),
-      owned_h2d_(std::make_unique<sim::BandwidthResource>(
-          sim, "pcie.h2d", config.bytes_per_sec, config.request_latency)),
-      owned_d2h_(std::make_unique<sim::BandwidthResource>(
-          sim, "pcie.d2h", config.bytes_per_sec, config.completion_latency)),
-      host_to_device_(owned_h2d_.get()),
-      device_to_host_(owned_d2h_.get()),
-      submissions_(sim) {}
-
-QueuePair::QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id,
-                     sim::BandwidthResource* h2d, sim::BandwidthResource* d2h,
-                     std::uint32_t depth_cap)
+QueuePair::QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id)
     : sim_(sim),
       set_(set),
       id_(id),
-      host_to_device_(h2d),
-      device_to_host_(d2h),
-      config_depth_cap_(depth_cap),
+      trk_nvme_(set->config_.name_prefix + "nvme"),
+      trk_nvme_cq_(set->config_.name_prefix + "nvme.cq"),
       submissions_(sim) {
-  if (!set->config_.name_prefix.empty()) {
-    trk_nvme_ = set->config_.name_prefix + trk_nvme_;
-    trk_nvme_cq_ = set->config_.name_prefix + trk_nvme_cq_;
-  }
-  if (depth_cap > 0) {
-    depth_slots_ = std::make_unique<sim::Semaphore>(sim, depth_cap);
+  if (set->config_.sq_depth_cap > 0) {
+    depth_slots_ =
+        std::make_unique<sim::Semaphore>(sim, set->config_.sq_depth_cap);
   }
 }
 
-void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state) {
+void QueuePair::Enqueue(Command command, Tick doorbell,
+                        std::shared_ptr<ReplyState> state) {
   Incoming incoming;
   incoming.cmd_id = command.cmd_id;
   incoming.opcode = command.opcode;
   incoming.queue_id = id_;
   incoming.enqueue_tick = sim_->Now();
-  const Tick prepare_begin =
-      command.submit_tick ? command.submit_tick : incoming.enqueue_tick;
+  const Tick prepare_begin = command.submit_tick.value_or(doorbell);
   sim_->stats()
       .histogram("client.stage.submit_ns")
       .Record(incoming.enqueue_tick - prepare_begin);
@@ -54,56 +38,14 @@ void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state) {
   incoming.command = std::move(command);
   incoming.reply = std::move(state);
   submissions_.Push(std::move(incoming));
-  if (set_ != nullptr) set_->NotifyWork();
+  set_->NotifyWork();
 }
 
-sim::Task<Completion> QueuePair::Submit(Command command) {
-  if (depth_slots_) co_await depth_slots_->Acquire();
-  ++submitted_;
-  const Tick begin = sim_->Now();
-  if (command.submit_tick == 0) command.submit_tick = begin;
-  // Spans the whole host-visible round trip: submission DMA, device
-  // service time, completion DMA.
-  sim::TraceSpan span(sim_, trk_nvme_, OpcodeName(command.opcode));
-  const std::uint64_t wire = CommandWireSize(command);
-  if (command.cmd_id != 0) span.Arg("cmd_id", command.cmd_id);
-  span.Arg("wire_bytes", wire);
-  co_await host_to_device_->Transfer(wire, ActivityForOpcode(command.opcode));
-
-  // NOTE: named + std::make_shared, never a prvalue temporary — see the
-  // "GCC 12 pitfall" note in sim/task.h.
-  auto state = std::make_shared<ReplyState>(sim_);
-  std::shared_ptr<ReplyState> keep = state;
-  Enqueue(std::move(command), std::move(state));
-  co_await keep->done.Wait();
-  co_return std::move(keep->completion);
-}
-
-sim::Task<std::shared_ptr<ReplyState>> QueuePair::SubmitAsync(Command command,
-                                                              CqRing* ring) {
-  if (depth_slots_) co_await depth_slots_->Acquire();
-  ++submitted_;
-  const Tick begin = sim_->Now();
-  if (command.submit_tick == 0) command.submit_tick = begin;
-  // Async spans cover the submission DMA only; the client-side reactor
-  // records the full round trip when it reaps the completion.
-  sim::TraceSpan span(sim_, trk_nvme_, OpcodeName(command.opcode));
-  const std::uint64_t wire = CommandWireSize(command);
-  if (command.cmd_id != 0) span.Arg("cmd_id", command.cmd_id);
-  span.Arg("wire_bytes", wire);
-  co_await host_to_device_->Transfer(wire, ActivityForOpcode(command.opcode));
-
-  auto state = std::make_shared<ReplyState>(sim_);
-  state->cq_ring = ring;
-  std::shared_ptr<ReplyState> keep = state;
-  Enqueue(std::move(command), std::move(state));
-  co_return keep;
-}
-
-sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::SubmitBatch(
+sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::Submit(
     std::vector<Command> commands, CqRing* ring) {
   std::vector<std::shared_ptr<ReplyState>> states;
   states.reserve(commands.size());
+  const std::uint32_t depth_cap = set_->config_.sq_depth_cap;
   std::size_t next = 0;
   while (next < commands.size()) {
     // With a depth cap, chunk to at most `cap` commands per doorbell: a
@@ -111,7 +53,7 @@ sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::SubmitBatch(
     // acquiring them (as earlier in-flight commands complete) is safe.
     std::size_t chunk = commands.size() - next;
     if (depth_slots_) {
-      chunk = std::min<std::size_t>(chunk, config_depth_cap_);
+      chunk = std::min<std::size_t>(chunk, depth_cap);
       for (std::size_t i = 0; i < chunk; ++i) {
         co_await depth_slots_->Acquire();
       }
@@ -119,23 +61,34 @@ sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::SubmitBatch(
     const Tick begin = sim_->Now();
     std::uint64_t wire = 0;
     for (std::size_t i = next; i < next + chunk; ++i) {
-      if (commands[i].submit_tick == 0) commands[i].submit_tick = begin;
       wire += CommandWireSize(commands[i]);
     }
     submitted_ += chunk;
-    sim::TraceSpan span(sim_, trk_nvme_, "batch_submit");
-    span.Arg("count", static_cast<std::uint64_t>(chunk));
+    // The span covers the submission DMA only; the client's reactor
+    // records the full round trip when it reaps the completion. A lone
+    // command keeps its opcode name so per-op spans stay greppable.
+    const Command& first = commands[next];
+    sim::TraceSpan span(sim_, trk_nvme_,
+                        chunk == 1 ? OpcodeName(first.opcode)
+                                   : "batch_submit");
+    if (chunk == 1) {
+      if (first.cmd_id != 0) span.Arg("cmd_id", first.cmd_id);
+    } else {
+      span.Arg("count", static_cast<std::uint64_t>(chunk));
+    }
     span.Arg("wire_bytes", wire);
     // One doorbell for the whole chunk: a single link operation pays
     // `request_latency` once, then streams every command's bytes. Batches
     // are homogeneous in practice, so the first opcode classes the chunk.
-    co_await host_to_device_->Transfer(
-        wire, ActivityForOpcode(commands[next].opcode));
+    co_await set_->host_to_device_.Transfer(wire,
+                                            ActivityForOpcode(first.opcode));
     for (std::size_t i = next; i < next + chunk; ++i) {
+      // NOTE: named + std::make_shared, never a prvalue temporary — see
+      // the "GCC 12 pitfall" note in sim/task.h.
       auto state = std::make_shared<ReplyState>(sim_);
       state->cq_ring = ring;
       states.push_back(state);
-      Enqueue(std::move(commands[i]), std::move(state));
+      Enqueue(std::move(commands[i]), begin, std::move(state));
     }
     next += chunk;
   }
@@ -151,7 +104,8 @@ sim::Task<void> QueuePair::Complete(Incoming incoming, Completion completion) {
   // the data's lifetime independent of this frame.
   std::shared_ptr<ReplyState> reply = std::move(incoming.reply);
   reply->completion = std::move(completion);
-  co_await device_to_host_->Transfer(wire, ActivityForOpcode(incoming.opcode));
+  co_await set_->device_to_host_.Transfer(wire,
+                                         ActivityForOpcode(incoming.opcode));
   const Tick end = sim_->Now();
   sim_->stats().histogram("client.stage.complete_ns").Record(end - begin);
   if (sim_->tracer().enabled() && incoming.cmd_id != 0) {
@@ -187,9 +141,7 @@ QueueSet::QueueSet(sim::Simulation* sim, const QueueSetConfig& config)
   const std::uint32_t n = std::max<std::uint32_t>(config.num_queues, 1);
   pairs_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    pairs_.emplace_back(new QueuePair(sim, this, i, &host_to_device_,
-                                      &device_to_host_,
-                                      config.sq_depth_cap));
+    pairs_.emplace_back(new QueuePair(sim, this, i));
   }
   arb_credits_ = WeightOf(0);
 }

@@ -1,28 +1,28 @@
 // NVMe-style submission/completion queues over a PCIe link model.
 //
-// The host side calls Submit() (synchronous round trip) or SubmitAsync()/
-// SubmitBatch() (decoupled submit/complete) and data movement in both
-// directions is charged to the PCIe link (DMA); the device side services
-// commands by popping the submission channels — exactly the client-library
-// / device-server split the paper describes (§VI: "the translation and
-// sending of the requests take place in userspace and completely bypass
-// the host OS kernel").
+// The host side has exactly one entry point, QueuePair::Submit(): it DMAs
+// a batch of commands onto the SQ behind one doorbell and returns their
+// reply states without waiting for execution (a batch of one is the
+// single-command case). Data movement in both directions is charged to
+// the PCIe link; the device side services commands by popping the
+// submission channels — exactly the client-library / device-server split
+// the paper describes (§VI: "the translation and sending of the requests
+// take place in userspace and completely bypass the host OS kernel").
 //
 // Two layers:
 //
-//   QueuePair — one SQ/CQ pair. Standalone (owns its own PCIe link) for
-//       unit tests, or a member of a QueueSet (shares the set's link).
-//       Doorbell batching: SubmitBatch() rings one doorbell for K commands,
-//       paying `request_latency` once instead of K times.
+//   QueuePair — one SQ/CQ pair, always a member of a QueueSet (it borrows
+//       the set's PCIe link). Doorbell batching: one Submit() of K
+//       commands pays `request_latency` once instead of K times.
 //   QueueSet  — N pairs multiplexed over one PCIe link plus the device-side
 //       arbitration point: NextCommand() serves all pairs round-robin (or
 //       weighted), so no queue can starve while another is full.
 //
-// Completion delivery (ReplyState): the synchronous path awaits the state's
-// `done` event; the async path instead routes the completed state onto the
-// submitting client's CQ ring (a channel), where a per-client reactor
+// Completion delivery (ReplyState): Complete() routes the completed state
+// onto the submitter's CQ ring (a channel), where a per-client reactor
 // coroutine reaps it — one parked reactor per client instead of one parked
-// awaiter per command.
+// awaiter per command. Submitters without a ring (queue-level tests) await
+// the state's `done` event instead.
 #pragma once
 
 #include <cassert>
@@ -87,8 +87,8 @@ struct ReplyState {
   Tick submit_begin = 0;     // host-side stamp (command.submit_tick)
   std::uint32_t queue_id = 0;
   // When set, completion is delivered by pushing this state onto the ring
-  // (async path; the reaper calls done.Set()). When null, Complete() sets
-  // `done` directly (synchronous path).
+  // (the reaper calls done.Set()). When null, Complete() sets `done`
+  // directly.
   sim::Channel<std::shared_ptr<ReplyState>>* cq_ring = nullptr;
 };
 
@@ -96,28 +96,15 @@ using CqRing = sim::Channel<std::shared_ptr<ReplyState>>;
 
 class QueuePair {
  public:
-  // Standalone pair owning its own PCIe link (unit tests, single-queue
-  // tools). Pairs inside a QueueSet are built by the set instead.
-  QueuePair(sim::Simulation* sim, const PcieConfig& config);
-
-  // Host side: send a command, await its completion. Safe for any number
-  // of concurrent host threads (each submission carries its own reply
-  // state).
-  sim::Task<Completion> Submit(Command command);
-
-  // Host side, decoupled: DMA the command in, return its reply state
-  // without waiting for execution. Completion is pushed to `ring` when
-  // non-null (reactor reaping), otherwise signalled via the state's
-  // `done` event.
-  sim::Task<std::shared_ptr<ReplyState>> SubmitAsync(Command command,
-                                                     CqRing* ring = nullptr);
-
-  // Doorbell batching: rings one doorbell for the whole batch, so the
-  // per-command `request_latency` (doorbell + DMA setup) is paid once
-  // instead of `commands.size()` times; the byte service time is
-  // unchanged. With a depth cap the batch is split into cap-sized chunks
-  // (each chunk still amortizes within itself).
-  sim::Task<std::vector<std::shared_ptr<ReplyState>>> SubmitBatch(
+  // Host side, the only submission path: rings one doorbell for the whole
+  // batch, so the per-command `request_latency` (doorbell + DMA setup) is
+  // paid once instead of `commands.size()` times; the byte service time is
+  // unchanged. Returns once every command is on the SQ, one reply state
+  // per command in order. Completion is pushed to `ring` when non-null
+  // (reactor reaping), otherwise signalled via each state's `done` event.
+  // With a depth cap the batch is split into cap-sized chunks (each chunk
+  // still amortizes within itself).
+  sim::Task<std::vector<std::shared_ptr<ReplyState>>> Submit(
       std::vector<Command> commands, CqRing* ring = nullptr);
 
   // Device side: one submitted command plus its completion route.
@@ -133,11 +120,8 @@ class QueuePair {
     Tick dequeue_tick = 0;
   };
 
-  // Device side: wait for the next command on THIS pair. Single-queue
-  // path; multi-queue devices arbitrate via QueueSet::NextCommand().
-  auto NextCommand() { return submissions_.Pop(); }
-
-  // Device-side completion path (charged to the PCIe link).
+  // Device-side completion path (charged to the PCIe link). Devices pop
+  // commands through QueueSet::NextCommand(), which arbitrates the pairs.
   sim::Task<void> Complete(Incoming incoming, Completion completion);
 
   // Submitted-but-not-yet-popped commands (the SQ depth gauge).
@@ -147,12 +131,6 @@ class QueuePair {
 
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t completed() const { return completed_; }
-  std::uint64_t host_to_device_bytes() const {
-    return host_to_device_->total_bytes();
-  }
-  std::uint64_t device_to_host_bytes() const {
-    return device_to_host_->total_bytes();
-  }
 
   std::uint32_t id() const { return id_; }
   sim::Simulation* sim() const { return sim_; }
@@ -160,30 +138,24 @@ class QueuePair {
  private:
   friend class QueueSet;
 
-  // Set-member pair: shares the set's PCIe link and depth-cap policy.
-  QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id,
-            sim::BandwidthResource* h2d, sim::BandwidthResource* d2h,
-            std::uint32_t depth_cap);
+  // Built by the owning set: uses its PCIe link and depth-cap policy.
+  QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id);
 
-  // Enqueues one DMA-delivered command onto the SQ (no suspension).
-  void Enqueue(Command command, std::shared_ptr<ReplyState> state);
+  // Enqueues one DMA-delivered command onto the SQ (no suspension). An
+  // unstamped command counts as prepared at its chunk's `doorbell` tick.
+  void Enqueue(Command command, Tick doorbell,
+               std::shared_ptr<ReplyState> state);
   std::optional<Incoming> TryTake() { return submissions_.TryPop(); }
 
   sim::Simulation* sim_;
-  QueueSet* set_ = nullptr;  // null for standalone pairs
-  std::uint32_t id_ = 0;
+  QueueSet* set_;
+  std::uint32_t id_;
   // Trace track names ("nvme", "nvme.cq"), carrying the owning set's
   // name_prefix so per-device spans stay separable in multi-device sims.
-  std::string trk_nvme_ = "nvme";
-  std::string trk_nvme_cq_ = "nvme.cq";
-  // Standalone pairs own their link; set members borrow the set's.
-  std::unique_ptr<sim::BandwidthResource> owned_h2d_;
-  std::unique_ptr<sim::BandwidthResource> owned_d2h_;
-  sim::BandwidthResource* host_to_device_;
-  sim::BandwidthResource* device_to_host_;
+  std::string trk_nvme_;
+  std::string trk_nvme_cq_;
   // Depth cap (null = unbounded). Acquired per command before the
   // submission DMA, released when its completion has DMA'd back.
-  std::uint32_t config_depth_cap_ = 0;
   std::unique_ptr<sim::Semaphore> depth_slots_;
   sim::Channel<Incoming> submissions_;
   std::uint64_t submitted_ = 0;
@@ -191,7 +163,7 @@ class QueuePair {
 };
 
 // N SQ/CQ pairs sharing one PCIe link, plus the device-side arbitration
-// point. Hosts submit to a specific pair (pair(i)->Submit...); the device
+// point. Hosts submit to a specific pair (pair(i)->Submit(...)); the device
 // services all pairs through NextCommand() under the configured policy.
 class QueueSet {
  public:
@@ -205,11 +177,6 @@ class QueueSet {
   }
   QueuePair* pair(std::uint32_t id) { return pairs_[id].get(); }
   const QueuePair* pair(std::uint32_t id) const { return pairs_[id].get(); }
-
-  // Convenience forwarder for single-queue callers: submit on pair 0.
-  sim::Task<Completion> Submit(Command command) {
-    return pairs_[0]->Submit(std::move(command));
-  }
 
   // Device side: the next command across ALL pairs, in arbitration order.
   // Round-robin serves one command per non-empty queue in rotation;

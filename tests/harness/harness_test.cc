@@ -97,9 +97,9 @@ TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
     bed.sim().Spawn([](CsdTestbed* b, std::uint32_t thread,
                        std::vector<client::KeyspaceHandle>* out,
                        sim::WaitGroup* done) -> sim::Task<void> {
-      auto ks = (co_await b->client().CreateKeyspace(
-                     "g" + std::to_string(thread)))
-                    .value();
+      std::string name = "g";
+      name += std::to_string(thread);  // not "g" + ...: GCC 12 -Wrestrict
+      auto ks = (co_await b->client().CreateKeyspace(name)).value();
       auto writer = ks.NewBulkWriter();
       for (std::uint64_t i = 0; i < 5000; ++i) {
         (void)co_await writer.Add(MakeFixedKey(i), std::string(32, 'x'));

@@ -28,11 +28,14 @@ DeviceConfig SmallDevice() {
 struct CsdFixture {
   sim::Simulation sim;
   nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
+  Device dev;
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
 
-  CsdFixture() { dev.Start(); }
+  explicit CsdFixture(const DeviceConfig& config = SmallDevice())
+      : dev(&sim, config, &qp) {
+    dev.Start();
+  }
 
   // value = 28 pad bytes + f32 energy (little-endian), like a mini VPIC
   // particle payload.
@@ -312,6 +315,38 @@ TEST(CsdTest, CompactionRunsAsynchronously) {
   }(&f.db, &f.sim, &trigger_done, &compaction_done));
   // Compaction took real (virtual) time after the trigger returned.
   EXPECT_GT(compaction_done, trigger_done + Milliseconds(1));
+}
+
+// A background compaction that fails must reach the host. On a device
+// written until Sync reports kOutOfSpace, Compact() is accepted (it only
+// queues the work), the compaction then fails for want of zones and rolls
+// back, and WaitCompaction() returns that failure instead of Ok.
+TEST(CsdTest, WaitCompactionReportsBackgroundFailure) {
+  DeviceConfig config = SmallDevice();
+  config.zns.zone_size = KiB(256);
+  config.zns.num_zones = 24;
+  CsdFixture f(config);
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = (co_await db->CreateKeyspace("full")).value();
+    // Flush failures surface at Sync, not at the put that filled the
+    // buffer, so sync every 64 puts.
+    Status sync = Status::Ok();
+    for (std::uint64_t i = 0; sync.ok() && i < 100000; ++i) {
+      KVCSD_CO_ASSERT_OK(
+          co_await ks.Put(MakeFixedKey(i), std::string(1024, 'f')));
+      if (i % 64 == 63) sync = co_await ks.Sync();
+    }
+    KVCSD_CO_ASSERT(sync.code() == StatusCode::kOutOfSpace);
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    const Status wait = co_await ks.WaitCompaction();
+    EXPECT_EQ(wait.code(), StatusCode::kOutOfSpace) << wait.ToString();
+    // The failure stays reported until another compaction finishes.
+    EXPECT_EQ((co_await ks.WaitCompaction()).code(),
+              StatusCode::kOutOfSpace);
+    auto stat = co_await ks.GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    EXPECT_EQ(stat->state, "WRITABLE");
+  }(&f.db));
 }
 
 TEST(CsdTest, MetadataSurvivesPowerCycle) {

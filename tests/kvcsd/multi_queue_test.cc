@@ -4,6 +4,7 @@
 // commands in flight on multiple queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -104,7 +105,7 @@ TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
       KVCSD_CO_ASSERT_OK(co_await window.front().Await());
       window.pop_front();
     }
-    KVCSD_CO_ASSERT(c->async_inflight() == 0);
+    KVCSD_CO_ASSERT(c->inflight() == 0);
 
     KVCSD_CO_ASSERT_OK(co_await ks->Sync());
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
@@ -128,7 +129,7 @@ TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
       KVCSD_CO_ASSERT(*got == DetValue(reads.front().first));
       reads.pop_front();
     }
-    KVCSD_CO_ASSERT(c->async_inflight() == 0);
+    KVCSD_CO_ASSERT(c->inflight() == 0);
   }(&db));
 
   // Round-robin client placement exercised both pairs.
@@ -164,6 +165,65 @@ TEST(MultiQueueTest, BatchedPutsCompleteAndReadBack) {
       KVCSD_CO_ASSERT(*got == DetValue(i));
     }
   }(&db));
+}
+
+// Sync and async calls share one admission window. With max_inflight = 1
+// and an async put holding the only permit, a concurrent sync put must
+// not reach the SQ before that permit is released.
+TEST(MultiQueueTest, SyncCallsWaitForTheAdmissionWindow) {
+  MultiQueueFixture f(TwoQueues());
+  client::ClientConfig config;
+  config.max_inflight = 1;
+  client::Client db = f.MakeClient(config);
+
+  std::uint64_t peak_inflight = 0;
+  testutil::RunSim(f.sim, [](sim::Simulation* s, client::Client* c,
+                             std::uint64_t* peak) -> sim::Task<void> {
+    auto ks = co_await c->CreateKeyspace("joint");
+    KVCSD_CO_ASSERT_OK(ks);
+    int done = 0;
+    s->Spawn([](client::KeyspaceHandle h, int* finished) -> sim::Task<void> {
+      auto put = co_await h.PutAsync(MakeFixedKey(0), DetValue(0));
+      EXPECT_TRUE((co_await put.Await()).ok());
+      ++*finished;
+    }(*ks, &done));
+    s->Spawn([](client::KeyspaceHandle h, int* finished) -> sim::Task<void> {
+      EXPECT_TRUE((co_await h.Put(MakeFixedKey(1), DetValue(1))).ok());
+      ++*finished;
+    }(*ks, &done));
+    // Sample the queue set's submitted-but-uncompleted count densely
+    // until both puts return.
+    while (done < 2) {
+      *peak = std::max(*peak, c->queue().inflight());
+      co_await s->Delay(Nanoseconds(100));
+    }
+    KVCSD_CO_ASSERT(c->inflight() == 0);
+  }(&f.sim, &db, &peak_inflight));
+
+  EXPECT_EQ(peak_inflight, 1u);
+  EXPECT_EQ(f.set()->completed(), 3u);  // create + two puts
+}
+
+// A command stamped at tick 0 keeps its stamp: the submit stage of the
+// very first command includes the client's driver compute, exactly like
+// the same command issued later.
+TEST(MultiQueueTest, CommandStampedAtTickZeroKeepsItsStamp) {
+  MultiQueueFixture f(TwoQueues());
+  client::Client db = f.MakeClient();
+  testutil::RunSim(f.sim, [](sim::Simulation* s,
+                             client::Client* c) -> sim::Task<void> {
+    KVCSD_CO_ASSERT(s->Now() == 0);
+    auto first = co_await c->GetHealthAsync();
+    KVCSD_CO_ASSERT_OK(co_await first.Await());
+    auto second = co_await c->GetHealthAsync();
+    KVCSD_CO_ASSERT_OK(co_await second.Await());
+  }(&f.sim, &db));
+
+  const sim::Histogram& submit =
+      f.sim.stats().histogram("client.stage.submit_ns");
+  ASSERT_EQ(submit.count(), 2u);
+  EXPECT_EQ(submit.min(), submit.max());
+  EXPECT_GT(submit.min(), hostenv::CostModel::Host().syscall_overhead);
 }
 
 // ---------------------------------------------------------------------------
@@ -381,8 +441,8 @@ TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
             ++*n_resolved;
             if (!s.ok()) ++*n_failed;
           }
-          KVCSD_CO_ASSERT(ca2->async_inflight() == 0);
-          KVCSD_CO_ASSERT(cb2->async_inflight() == 0);
+          KVCSD_CO_ASSERT(ca2->inflight() == 0);
+          KVCSD_CO_ASSERT(cb2->inflight() == 0);
         }(&a, &b, &f.faults, &resolved, &failed));
 
     EXPECT_EQ(resolved, 2 * kInflightPuts);

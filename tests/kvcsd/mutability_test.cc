@@ -123,7 +123,9 @@ TEST(MutabilityTest, DeleteBeforeCompactionSuppressesKey) {
                              sim::Simulation* sim) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("del")).value();
     for (std::uint64_t i = 0; i < 100; ++i) {
-      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "v" + std::to_string(i)));
+      std::string value = "v";
+      value += std::to_string(i);  // not "v" + ...: GCC 12 -Wrestrict
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), value));
     }
     // Blind delete of an absent key is Ok (tombstone over nothing).
     KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(999999)));
@@ -366,7 +368,9 @@ TEST(MutabilityTest, DropDuringRecompactionDefers) {
   testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("dropfold")).value();
     for (std::uint64_t i = 0; i < 2000; ++i) {
-      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "v" + std::to_string(i)));
+      std::string value = "v";
+      value += std::to_string(i);  // not "v" + ...: GCC 12 -Wrestrict
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), value));
     }
     KVCSD_CO_ASSERT_OK(co_await ks.Compact());
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());

@@ -469,7 +469,8 @@ TEST(RecoveryTest, UnknownOpcodeRejected) {
         nvme::Command unknown;
         unknown.opcode = static_cast<nvme::Opcode>(0xee);
         unknown.keyspace_id = ks->id();
-        auto c1 = co_await qp->Submit(std::move(unknown));
+        auto c1 = co_await testutil::SubmitAndWait(qp->pair(0),
+                                                   std::move(unknown));
         KVCSD_CO_ASSERT(c1.status.code() == StatusCode::kUnimplemented);
 
         // kKvDelete is a real opcode now: a blind tombstone write, Ok even
@@ -478,19 +479,22 @@ TEST(RecoveryTest, UnknownOpcodeRejected) {
         del.opcode = nvme::Opcode::kKvDelete;
         del.keyspace_id = ks->id();
         del.key = "never-written";
-        auto c2 = co_await qp->Submit(std::move(del));
+        auto c2 = co_await testutil::SubmitAndWait(qp->pair(0),
+                                                   std::move(del));
         KVCSD_CO_ASSERT_OK(c2.status);
 
         nvme::Command bad_both;
         bad_both.opcode = static_cast<nvme::Opcode>(0xee);
         bad_both.keyspace_id = 424242;
-        auto c3 = co_await qp->Submit(std::move(bad_both));
+        auto c3 = co_await testutil::SubmitAndWait(qp->pair(0),
+                                                   std::move(bad_both));
         KVCSD_CO_ASSERT(c3.status.code() == StatusCode::kUnimplemented);
 
         nvme::Command bad_id;
         bad_id.opcode = nvme::Opcode::kSync;
         bad_id.keyspace_id = 424242;
-        auto c4 = co_await qp->Submit(std::move(bad_id));
+        auto c4 = co_await testutil::SubmitAndWait(qp->pair(0),
+                                                   std::move(bad_id));
         KVCSD_CO_ASSERT(c4.status.code() == StatusCode::kNotFound);
       }(f.db.get(), f.qps.back().get()));
 }

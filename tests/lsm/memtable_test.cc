@@ -105,7 +105,8 @@ TEST(MemTableTest, IterationIsSorted) {
   std::map<std::string, std::string> expected;
   for (int i = 0; i < 1000; ++i) {
     std::string key = MakeFixedKey(rng.Uniform(10000), 8);
-    std::string value = "v" + std::to_string(i);
+    std::string value = "v";
+    value += std::to_string(i);  // not "v" + ...: GCC 12 -Wrestrict
     mem.Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue, key,
             value);
     expected[key] = value;  // later seq wins

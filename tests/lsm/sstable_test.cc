@@ -225,12 +225,14 @@ TEST(SstableTest, MergingIteratorInterleavesTables) {
     testutil::RunSim(f.sim,
                      [](SstableBuilder* b, int first) -> sim::Task<void> {
       for (int i = first; i < 200; i += 2) {
+        std::string value = "v";
+        value += std::to_string(i);  // not "v" + ...: GCC 12 -Wrestrict
         EXPECT_TRUE((co_await b->Add(
                          MakeInternalKey(
                              MakeFixedKey(static_cast<std::uint64_t>(i)),
                              static_cast<SequenceNumber>(i + 1),
                              ValueType::kValue),
-                         "v" + std::to_string(i)))
+                         value))
                         .ok());
       }
       EXPECT_TRUE((co_await b->Finish()).ok());

@@ -29,18 +29,18 @@ TEST(CommandTest, WireSizesCountPayloads) {
 
 TEST(QueuePairTest, SubmitReceivesDeviceReply) {
   sim::Simulation sim;
-  QueuePair qp(&sim, PcieConfig{});
+  QueueSet set(&sim, PcieConfig{});
 
   // Echo device: completes each command with its key as the value.
-  sim.Spawn([](QueuePair* queue) -> sim::Task<void> {
+  sim.Spawn([](QueueSet* queues) -> sim::Task<void> {
     for (int i = 0; i < 2; ++i) {
-      auto incoming = co_await queue->NextCommand();
+      auto incoming = co_await queues->NextCommand();
       Completion reply;
       reply.status = Status::Ok();
       reply.value = "echo:" + incoming.command.key;
-      co_await queue->Complete(std::move(incoming), std::move(reply));
+      co_await queues->Complete(std::move(incoming), std::move(reply));
     }
-  }(&qp));
+  }(&set));
 
   std::vector<std::string> replies;
   sim.Spawn([](QueuePair* queue, std::vector<std::string>* out)
@@ -49,15 +49,16 @@ TEST(QueuePairTest, SubmitReceivesDeviceReply) {
       Command cmd;
       cmd.opcode = Opcode::kKvRetrieve;
       cmd.key = "k" + std::to_string(i);
-      Completion reply = co_await queue->Submit(std::move(cmd));
+      Completion reply =
+          co_await testutil::SubmitAndWait(queue, std::move(cmd));
       out->push_back(reply.value);
     }
-  }(&qp, &replies));
+  }(set.pair(0), &replies));
 
   sim.Run();
   EXPECT_EQ(replies, (std::vector<std::string>{"echo:k0", "echo:k1"}));
-  EXPECT_EQ(qp.submitted(), 2u);
-  EXPECT_EQ(qp.completed(), 2u);
+  EXPECT_EQ(set.pair(0)->submitted(), 2u);
+  EXPECT_EQ(set.pair(0)->completed(), 2u);
 }
 
 TEST(QueuePairTest, TransferTimeScalesWithPayload) {
@@ -66,15 +67,15 @@ TEST(QueuePairTest, TransferTimeScalesWithPayload) {
   pcie.bytes_per_sec = 1e9;
   pcie.request_latency = Microseconds(10);
   pcie.completion_latency = Microseconds(10);
-  QueuePair qp(&sim, pcie);
+  QueueSet set(&sim, pcie);
 
-  sim.Spawn([](QueuePair* queue) -> sim::Task<void> {
-    auto incoming = co_await queue->NextCommand();
+  sim.Spawn([](QueueSet* queues) -> sim::Task<void> {
+    auto incoming = co_await queues->NextCommand();
     // NOTE: named + std::move, never a prvalue temporary — see the
     // "GCC 12 pitfall" note in sim/task.h.
     Completion reply;
-    co_await queue->Complete(std::move(incoming), std::move(reply));
-  }(&qp));
+    co_await queues->Complete(std::move(incoming), std::move(reply));
+  }(&set));
 
   Tick done = 0;
   sim.Spawn([](sim::Simulation* s, QueuePair* queue,
@@ -82,38 +83,39 @@ TEST(QueuePairTest, TransferTimeScalesWithPayload) {
     Command cmd;
     cmd.opcode = Opcode::kBulkStore;
     cmd.value = std::string(MiB(1), 'x');
-    (void)co_await queue->Submit(std::move(cmd));
+    (void)co_await testutil::SubmitAndWait(queue, std::move(cmd));
     *out = s->Now();
-  }(&sim, &qp, &done));
+  }(&sim, set.pair(0), &done));
   sim.Run();
 
   // >= 1 MiB at 1 GB/s plus both latencies.
   EXPECT_GE(done, TransferTicks(MiB(1), 1e9) + Microseconds(20));
-  EXPECT_GT(qp.host_to_device_bytes(), MiB(1));
-  EXPECT_EQ(qp.device_to_host_bytes(), 16u);  // bare CQE
+  EXPECT_GT(set.host_to_device_bytes(), MiB(1));
+  EXPECT_EQ(set.device_to_host_bytes(), 16u);  // bare CQE
 }
 
 TEST(QueuePairTest, ConcurrentSubmittersEachGetTheirReply) {
   sim::Simulation sim;
-  QueuePair qp(&sim, PcieConfig{});
+  QueueSet set(&sim, PcieConfig{});
 
-  sim.Spawn([](QueuePair* queue) -> sim::Task<void> {
+  sim.Spawn([](QueueSet* queues) -> sim::Task<void> {
     for (int i = 0; i < 8; ++i) {
-      auto incoming = co_await queue->NextCommand();
+      auto incoming = co_await queues->NextCommand();
       Completion reply;
       reply.value = incoming.command.key;
-      co_await queue->Complete(std::move(incoming), std::move(reply));
+      co_await queues->Complete(std::move(incoming), std::move(reply));
     }
-  }(&qp));
+  }(&set));
 
   int correct = 0;
   for (int t = 0; t < 8; ++t) {
     sim.Spawn([](QueuePair* queue, int id, int* ok_count) -> sim::Task<void> {
       Command cmd;
       cmd.key = "key-" + std::to_string(id);
-      Completion reply = co_await queue->Submit(std::move(cmd));
+      Completion reply =
+          co_await testutil::SubmitAndWait(queue, std::move(cmd));
       if (reply.value == "key-" + std::to_string(id)) ++*ok_count;
-    }(&qp, t, &correct));
+    }(set.pair(0), t, &correct));
   }
   sim.Run();
   EXPECT_EQ(correct, 8);
@@ -121,14 +123,14 @@ TEST(QueuePairTest, ConcurrentSubmittersEachGetTheirReply) {
 
 // Doorbell batching (DESIGN.md §11): a batch of K commands rings one
 // doorbell, so the per-command request latency is paid once. K serial
-// async submits pay it K times; the byte service time is identical.
+// batches of one pay it K times; the byte service time is identical.
 TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
   sim::Simulation sim;
   PcieConfig pcie;
   pcie.bytes_per_sec = 1e9;
   pcie.request_latency = Microseconds(10);
-  QueuePair serial_qp(&sim, pcie);  // each pair owns its own link
-  QueuePair batch_qp(&sim, pcie);
+  QueueSet serial_set(&sim, pcie);  // each set owns its own link
+  QueueSet batch_set(&sim, pcie);
   constexpr std::uint64_t kCommands = 8;
 
   Command probe;
@@ -145,10 +147,10 @@ TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
       cmd.opcode = Opcode::kKvStore;
       cmd.key = std::string(16, 'k');
       cmd.value = std::string(1024, 'v');
-      (void)co_await qp->SubmitAsync(std::move(cmd));
+      (void)co_await testutil::SubmitOne(qp, std::move(cmd));
     }
     *out = s->Now();
-  }(&sim, &serial_qp, &serial_done));
+  }(&sim, serial_set.pair(0), &serial_done));
 
   Tick batch_done = 0;
   sim.Spawn([](sim::Simulation* s, QueuePair* qp,
@@ -161,9 +163,9 @@ TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
       cmd.value = std::string(1024, 'v');
       cmds.push_back(std::move(cmd));
     }
-    (void)co_await qp->SubmitBatch(std::move(cmds));
+    (void)co_await qp->Submit(std::move(cmds));
     *out = s->Now();
-  }(&sim, &batch_qp, &batch_done));
+  }(&sim, batch_set.pair(0), &batch_done));
 
   sim.Run();
 
@@ -175,8 +177,8 @@ TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
             Microseconds(10) + TransferTicks(kCommands * wire, 1e9));
   EXPECT_LT(batch_done, serial_done);
   EXPECT_GE(serial_done - batch_done, (kCommands - 1) * Microseconds(10));
-  EXPECT_EQ(serial_qp.sq_depth(), kCommands);
-  EXPECT_EQ(batch_qp.sq_depth(), kCommands);
+  EXPECT_EQ(serial_set.sq_depth(), kCommands);
+  EXPECT_EQ(batch_set.sq_depth(), kCommands);
 }
 
 TEST(QueueSetTest, RoundRobinAlternatesAcrossPairs) {
@@ -191,7 +193,7 @@ TEST(QueueSetTest, RoundRobinAlternatesAcrossPairs) {
         Command cmd;
         cmd.opcode = Opcode::kKvStore;
         cmd.key = "q" + std::to_string(queue) + "-" + std::to_string(i);
-        (void)co_await s->pair(queue)->SubmitAsync(std::move(cmd));
+        (void)co_await testutil::SubmitOne(s->pair(queue), std::move(cmd));
       }
     }(&set, q));
   }
@@ -228,12 +230,12 @@ TEST(QueueSetTest, WeightedArbitrationSpendsQuanta) {
     for (int i = 0; i < 4; ++i) {
       Command cmd;
       cmd.opcode = Opcode::kKvStore;
-      (void)co_await s->pair(0)->SubmitAsync(std::move(cmd));
+      (void)co_await testutil::SubmitOne(s->pair(0), std::move(cmd));
     }
     for (int i = 0; i < 2; ++i) {
       Command cmd;
       cmd.opcode = Opcode::kKvStore;
-      (void)co_await s->pair(1)->SubmitAsync(std::move(cmd));
+      (void)co_await testutil::SubmitOne(s->pair(1), std::move(cmd));
     }
   }(&set));
 
@@ -265,7 +267,7 @@ TEST(QueueSetTest, DepthCapBlocksSubmittersUntilCompletionsFreeSlots) {
       for (int i = 0; i < 3; ++i) {
         Command cmd;
         cmd.opcode = Opcode::kKvStore;
-        (void)co_await s->pair(0)->SubmitAsync(std::move(cmd));
+        (void)co_await testutil::SubmitOne(s->pair(0), std::move(cmd));
       }
     }(&set));
     sim.Run();
@@ -289,7 +291,7 @@ TEST(QueueSetTest, DepthCapBlocksSubmittersUntilCompletionsFreeSlots) {
       for (int i = 0; i < 5; ++i) {
         Command cmd;
         cmd.opcode = Opcode::kKvStore;
-        auto state = co_await s->pair(0)->SubmitAsync(std::move(cmd));
+        auto state = co_await testutil::SubmitOne(s->pair(0), std::move(cmd));
         states.push_back(std::move(state));
       }
       for (auto& state : states) co_await state->done.Wait();

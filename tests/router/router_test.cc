@@ -400,7 +400,9 @@ TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
         std::vector<std::pair<std::string, std::string>> pairs;
         for (std::uint64_t i = 0; i < kBatchSize; ++i) {
           const std::uint64_t id = (d * kBatches + b) * kBatchSize + i;
-          pairs.emplace_back(MakeFixedKey(id), "g" + std::to_string(id));
+          std::string value = "g";
+          value += std::to_string(id);  // not "g" + ...: GCC 12 -Wrestrict
+          pairs.emplace_back(MakeFixedKey(id), std::move(value));
         }
         auto futures = co_await h.PutBatchAsync(std::move(pairs));
         for (auto& future : futures) {

@@ -1,12 +1,16 @@
 // Test helpers shared across suites: run a coroutine on a simulation and
-// return its result after the event queue drains.
+// return its result after the event queue drains; submit raw commands on
+// a queue pair.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
+#include "nvme/queue.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 
@@ -32,6 +36,26 @@ inline void RunSim(sim::Simulation& simulation, sim::Task<void> task) {
   }(std::move(task), &done));
   simulation.Run();
   EXPECT_TRUE(done) << "coroutine did not complete";
+}
+
+// Submits one command as a batch of one on `pair`, without a CQ ring:
+// returns once it is on the SQ; its completion sets the state's `done`.
+inline sim::Task<std::shared_ptr<nvme::ReplyState>> SubmitOne(
+    nvme::QueuePair* pair, nvme::Command command) {
+  std::vector<nvme::Command> batch;
+  batch.push_back(std::move(command));
+  std::vector<std::shared_ptr<nvme::ReplyState>> states =
+      co_await pair->Submit(std::move(batch));
+  co_return std::move(states.front());
+}
+
+// SubmitOne, then awaits the command's completion.
+inline sim::Task<nvme::Completion> SubmitAndWait(nvme::QueuePair* pair,
+                                                 nvme::Command command) {
+  std::shared_ptr<nvme::ReplyState> state =
+      co_await SubmitOne(pair, std::move(command));
+  co_await state->done.Wait();
+  co_return std::move(state->completion);
 }
 
 }  // namespace kvcsd::testutil
