@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <type_traits>
 
 #include "common/coding.h"
 #include "sim/simulation.h"
@@ -143,57 +144,71 @@ sim::Task<std::vector<CallFuture>> Client::Submit(
   co_return futures;
 }
 
-sim::Task<nvme::Completion> CallFuture::AwaitImpl(
-    std::shared_ptr<nvme::ReplyState> state) {
-  co_await state->done.Wait();
-  co_return std::move(state->completion);
+namespace {
+
+// One decode per awaited type; std::type_identity picks the overload.
+nvme::Completion Decode(std::type_identity<nvme::Completion>,
+                        nvme::Completion c) {
+  return c;
 }
 
-sim::Task<Status> StatusFuture::AwaitImpl(CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  co_return completion.status;
+Status Decode(std::type_identity<Status>, nvme::Completion c) {
+  return c.status;
 }
 
-sim::Task<Result<std::string>> GetFuture::AwaitImpl(CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  co_return std::move(completion.value);
+Result<std::string> Decode(std::type_identity<Result<std::string>>,
+                           nvme::Completion c) {
+  if (!c.status.ok()) return c.status;
+  return std::move(c.value);
 }
 
-sim::Task<Result<SelectFuture::Rows>> SelectFuture::AwaitImpl(
-    CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  co_return std::move(completion.results);
+Result<SelectRows> Decode(std::type_identity<Result<SelectRows>>,
+                          nvme::Completion c) {
+  if (!c.status.ok()) return c.status;
+  return std::move(c.results);
 }
 
-sim::Task<Result<nvme::AggregateResult>> AggregateFuture::AwaitImpl(
-    CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  co_return completion.agg;
+Result<nvme::AggregateResult> Decode(
+    std::type_identity<Result<nvme::AggregateResult>>, nvme::Completion c) {
+  if (!c.status.ok()) return c.status;
+  return c.agg;
 }
 
-sim::Task<Result<nvme::HealthPage>> HealthFuture::AwaitImpl(CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
+Result<nvme::HealthPage> Decode(std::type_identity<Result<nvme::HealthPage>>,
+                                nvme::Completion c) {
+  if (!c.status.ok()) return c.status;
   nvme::HealthPage page;
-  if (!nvme::DecodeHealthPage(completion.value, &page)) {
-    co_return Status::Corruption("bad health log page");
+  if (!nvme::DecodeHealthPage(c.value, &page)) {
+    return Status::Corruption("bad health log page");
   }
-  co_return page;
+  return page;
 }
 
-sim::Task<Result<nvme::StatsPage>> StatsPageFuture::AwaitImpl(
-    CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
+Result<nvme::StatsPage> Decode(std::type_identity<Result<nvme::StatsPage>>,
+                               nvme::Completion c) {
+  if (!c.status.ok()) return c.status;
   nvme::StatsPage page;
-  if (!nvme::DecodeStatsPage(completion.value, &page)) {
-    co_return Status::Corruption("bad stats log page");
+  if (!nvme::DecodeStatsPage(c.value, &page)) {
+    return Status::Corruption("bad stats log page");
   }
-  co_return page;
+  return page;
 }
+
+}  // namespace
+
+template <typename T>
+sim::Task<T> Future<T>::AwaitImpl(std::shared_ptr<nvme::ReplyState> state) {
+  co_await state->done.Wait();
+  co_return Decode(std::type_identity<T>{}, std::move(state->completion));
+}
+
+template class Future<nvme::Completion>;
+template class Future<Status>;
+template class Future<Result<std::string>>;
+template class Future<Result<SelectRows>>;
+template class Future<Result<nvme::AggregateResult>>;
+template class Future<Result<nvme::HealthPage>>;
+template class Future<Result<nvme::StatsPage>>;
 
 sim::Task<Result<KeyspaceHandle>> Client::CreateKeyspace(
     const std::string& name) {
@@ -238,7 +253,7 @@ sim::Task<HealthFuture> Client::GetHealthAsync() {
   cmd.opcode = nvme::Opcode::kGetLogPage;
   cmd.log_page = nvme::LogPageId::kHealth;
   CallFuture call = co_await CallAsync(std::move(cmd));
-  co_return HealthFuture(std::move(call));
+  co_return std::move(call).As<HealthFuture>();
 }
 
 sim::Task<StatsPageFuture> Client::GetStatsAsync() {
@@ -246,7 +261,7 @@ sim::Task<StatsPageFuture> Client::GetStatsAsync() {
   cmd.opcode = nvme::Opcode::kGetLogPage;
   cmd.log_page = nvme::LogPageId::kStats;
   CallFuture call = co_await CallAsync(std::move(cmd));
-  co_return StatsPageFuture(std::move(call));
+  co_return std::move(call).As<StatsPageFuture>();
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +282,7 @@ sim::Task<StatusFuture> KeyspaceHandle::PutAsync(const std::string& key,
   cmd.key = key;
   cmd.value = value;
   CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return StatusFuture(std::move(call));
+  co_return std::move(call).As<StatusFuture>();
 }
 
 sim::Task<Status> KeyspaceHandle::Delete(const std::string& key) {
@@ -281,7 +296,7 @@ sim::Task<StatusFuture> KeyspaceHandle::DeleteAsync(const std::string& key) {
   cmd.keyspace_id = id_;
   cmd.key = key;
   CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return StatusFuture(std::move(call));
+  co_return std::move(call).As<StatusFuture>();
 }
 
 sim::Task<std::vector<StatusFuture>> KeyspaceHandle::PutBatchAsync(
@@ -300,7 +315,9 @@ sim::Task<std::vector<StatusFuture>> KeyspaceHandle::PutBatchAsync(
       co_await client_->CallBatchAsync(std::move(commands));
   std::vector<StatusFuture> futures;
   futures.reserve(calls.size());
-  for (auto& call : calls) futures.push_back(StatusFuture(std::move(call)));
+  for (auto& call : calls) {
+    futures.push_back(std::move(call).As<StatusFuture>());
+  }
   co_return futures;
 }
 
@@ -310,7 +327,7 @@ sim::Task<GetFuture> KeyspaceHandle::GetAsync(const std::string& key) {
   cmd.keyspace_id = id_;
   cmd.key = key;
   CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return GetFuture(std::move(call));
+  co_return std::move(call).As<GetFuture>();
 }
 
 sim::Task<Status> KeyspaceHandle::BulkWriter::Add(const std::string& key,
@@ -560,7 +577,7 @@ sim::Task<Status> KeyspaceHandle::SelectCall(
     nvme::Command cmd,
     std::vector<std::pair<std::string, std::string>>* out) {
   SelectFuture select = co_await SelectCallAsync(std::move(cmd));
-  Result<SelectFuture::Rows> rows = co_await select.Await();
+  Result<SelectRows> rows = co_await select.Await();
   if (!rows.ok()) co_return rows.status();
   for (auto& pair : *rows) out->push_back(std::move(pair));
   co_return Status::Ok();
@@ -568,7 +585,7 @@ sim::Task<Status> KeyspaceHandle::SelectCall(
 
 sim::Task<SelectFuture> KeyspaceHandle::SelectCallAsync(nvme::Command cmd) {
   CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return SelectFuture(std::move(call));
+  co_return std::move(call).As<SelectFuture>();
 }
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::AggregateCall(
@@ -580,7 +597,7 @@ sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::AggregateCall(
 sim::Task<AggregateFuture> KeyspaceHandle::AggregateCallAsync(
     nvme::Command cmd) {
   CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return AggregateFuture(std::move(call));
+  co_return std::move(call).As<AggregateFuture>();
 }
 
 sim::Task<Result<KeyspaceHandle::Stat>> KeyspaceHandle::GetStat() {

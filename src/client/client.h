@@ -86,121 +86,50 @@ struct ClientConfig {
 
 class Client;
 
-// Awaitable handle to one in-flight command. Copyable (shared state);
-// Await() the same future once — the completion payload is moved out.
-class CallFuture {
+// Awaitable handle to one in-flight command; Await() decodes the
+// completion to T, one decode per T (the aliases below list them all).
+// Copyable (shared state); Await() the same future once — the completion
+// payload is moved out.
+template <typename T>
+class Future {
  public:
-  CallFuture() = default;
+  Future() = default;
 
   bool valid() const { return state_ != nullptr; }
   // True once the device's completion has DMA'd back (Await won't block).
   bool completed() const { return state_ != nullptr && state_->completed; }
 
-  sim::Task<nvme::Completion> Await() { return AwaitImpl(state_); }
+  sim::Task<T> Await() { return AwaitImpl(state_); }
 
  private:
   friend class Client;
-  explicit CallFuture(std::shared_ptr<nvme::ReplyState> state)
+  friend class KeyspaceHandle;
+  template <typename>
+  friend class Future;
+  explicit Future(std::shared_ptr<nvme::ReplyState> state)
       : state_(std::move(state)) {}
+  // The same command under another decode (F is a Future<U>).
+  template <typename F>
+  F As() && {
+    return F(std::move(state_));
+  }
   // Static so the coroutine frame owns its own reference and the future
   // object itself may die while the await is pending.
-  static sim::Task<nvme::Completion> AwaitImpl(
-      std::shared_ptr<nvme::ReplyState> state);
+  static sim::Task<T> AwaitImpl(std::shared_ptr<nvme::ReplyState> state);
   std::shared_ptr<nvme::ReplyState> state_;
 };
 
-// Typed wrappers over CallFuture for the hot ops.
-class StatusFuture {
- public:
-  StatusFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Status> Await() { return AwaitImpl(call_); }
+// Matched (key, value) rows of a pushdown select.
+using SelectRows = std::vector<std::pair<std::string, std::string>>;
 
- private:
-  friend class Client;
-  friend class KeyspaceHandle;
-  explicit StatusFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Status> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-class GetFuture {
- public:
-  GetFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<std::string>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class KeyspaceHandle;
-  explicit GetFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<std::string>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Matched (key, value) rows from an in-flight pushdown select.
-class SelectFuture {
- public:
-  using Rows = std::vector<std::pair<std::string, std::string>>;
-  SelectFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<Rows>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class KeyspaceHandle;
-  explicit SelectFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<Rows>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Scalars from an in-flight pushdown aggregate.
-class AggregateFuture {
- public:
-  AggregateFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<nvme::AggregateResult>> Await() {
-    return AwaitImpl(call_);
-  }
-
- private:
-  friend class KeyspaceHandle;
-  explicit AggregateFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<nvme::AggregateResult>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Decoded device health page from an in-flight log-page pull.
-class HealthFuture {
- public:
-  HealthFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<nvme::HealthPage>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class Client;
-  explicit HealthFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<nvme::HealthPage>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Decoded device stats page from an in-flight log-page pull.
-class StatsPageFuture {
- public:
-  StatsPageFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<nvme::StatsPage>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class Client;
-  explicit StatsPageFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<nvme::StatsPage>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
+using CallFuture = Future<nvme::Completion>;  // the raw completion
+using StatusFuture = Future<Status>;
+using GetFuture = Future<Result<std::string>>;
+using SelectFuture = Future<Result<SelectRows>>;
+using AggregateFuture = Future<Result<nvme::AggregateResult>>;
+// Decoded device log pages.
+using HealthFuture = Future<Result<nvme::HealthPage>>;
+using StatsPageFuture = Future<Result<nvme::StatsPage>>;
 
 // A handle to one keyspace. Cheap to copy.
 class KeyspaceHandle {

@@ -591,6 +591,7 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
   report.hits = faults.hits();
   report.fired = faults.crashed();
   report.crash_point = faults.crash_point();
+  if (report.fired) report.crash_dump = sim.flight().last_dump();
 
   // Power cycle: a fresh device + queue over the surviving flash bytes.
   // The old device stays parked on its dead queue pair.

@@ -72,6 +72,9 @@ struct CrashSweepReport {
   bool fired = false;       // whether the armed crash actually triggered
   std::string crash_point;  // the point that fired (empty otherwise)
   Tick recovery_ticks = 0;  // simulated duration of Device::Recover()
+  // The flight recorder's crash dump (JSON; empty if nothing fired): the
+  // commands and breadcrumbs leading up to the power cut.
+  std::string crash_dump;
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }

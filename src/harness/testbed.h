@@ -84,7 +84,7 @@ class CsdTestbed {
  public:
   explicit CsdTestbed(const TestbedConfig& config,
                       std::uint32_t host_cores_override = 0)
-      : config_(WithProcessFlightFlags(config)),
+      : config_(config),
         queue_(&sim_, config_.queues),
         device_(&sim_, config_.device, &queue_),
         host_cpu_(&sim_, "host",
@@ -93,6 +93,7 @@ class CsdTestbed {
         client_(&queue_, &host_cpu_, config_.host_costs) {
     TraceRequest::EnableOn(&sim_);
     TelemetryRequest::EnableOn(&sim_);
+    FlightRequest::EnableOn(&sim_);
     device_.Start();
   }
   ~CsdTestbed() {
@@ -110,13 +111,6 @@ class CsdTestbed {
   sim::CpuPool& host_cpu() { return host_cpu_; }
 
  private:
-  // Overlays the process-wide --flight_* flags onto this testbed's device
-  // config before the device is constructed.
-  static TestbedConfig WithProcessFlightFlags(TestbedConfig config) {
-    FlightRequest::Configure(&config.device.flight);
-    return config;
-  }
-
   TestbedConfig config_;
   sim::Simulation sim_;
   nvme::QueueSet queue_;

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "kvcsd/device.h"
-#include "kvcsd/flight_recorder.h"
 
 namespace kvcsd::harness {
 
@@ -16,9 +15,8 @@ Tick g_telemetry_interval = 0;       // NOLINT
 unsigned g_telemetry_dumps = 0;      // NOLINT
 std::string g_health_path;           // NOLINT
 unsigned g_health_dumps = 0;         // NOLINT
-std::string g_flight_dump_path;      // NOLINT
-Tick g_flight_slo_exec_ns = 0;       // NOLINT
-bool g_flight_dump_on_busy = false;  // NOLINT
+
+sim::FlightRecorder::Options g_flight_options;  // NOLINT
 
 // `base` for a bench's first dump, `base.<n>` for the n-th after it: one
 // file per simulation. Appends piecewise rather than `"." + to_string(n)`,
@@ -112,17 +110,12 @@ void HealthRequest::Dump(device::Device* device) {
   std::printf("health page written to %s\n", path.c_str());
 }
 
-void FlightRequest::Set(std::string dump_path, Tick slo_exec_ns,
-                        bool dump_on_busy) {
-  g_flight_dump_path = std::move(dump_path);
-  g_flight_slo_exec_ns = slo_exec_ns;
-  g_flight_dump_on_busy = dump_on_busy;
+void FlightRequest::Set(sim::FlightRecorder::Options options) {
+  g_flight_options = std::move(options);
 }
 
-void FlightRequest::Configure(device::FlightRecorderConfig* config) {
-  if (!g_flight_dump_path.empty()) config->dump_path = g_flight_dump_path;
-  if (g_flight_slo_exec_ns != 0) config->slo_exec_ns = g_flight_slo_exec_ns;
-  if (g_flight_dump_on_busy) config->dump_on_busy = true;
+void FlightRequest::EnableOn(sim::Simulation* sim) {
+  sim->flight().set_options(g_flight_options);
 }
 
 void ApplyObservabilityFlags(const Flags& flags) {
@@ -131,9 +124,11 @@ void ApplyObservabilityFlags(const Flags& flags) {
       flags.GetString("telemetry", ""),
       Microseconds(flags.GetUint("telemetry_interval_us", 1000)));
   HealthRequest::Set(flags.GetString("health", ""));
-  FlightRequest::Set(flags.GetString("flight_dump", ""),
-                     Microseconds(flags.GetUint("flight_slo_us", 0)),
-                     flags.GetBool("flight_busy", false));
+  sim::FlightRecorder::Options flight;
+  flight.slo_exec_ns = Microseconds(flags.GetUint("flight_slo_us", 0));
+  flight.dump_on_busy = flags.GetBool("flight_busy", false);
+  flight.dump_path = flags.GetString("flight_dump", "");
+  FlightRequest::Set(std::move(flight));
 }
 
 }  // namespace kvcsd::harness

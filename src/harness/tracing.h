@@ -18,7 +18,6 @@
 
 namespace kvcsd::device {
 class Device;
-struct FlightRecorderConfig;
 }  // namespace kvcsd::device
 
 namespace kvcsd::harness {
@@ -59,13 +58,13 @@ class HealthRequest {
   static void Dump(device::Device* device);
 };
 
-// --flight_dump=<path> / --flight_slo_us=<n> / --flight_busy: process-wide
-// flight-recorder overrides, overlaid onto every CsdTestbed's device
-// config (DESIGN.md §14). Unset flags leave the bench's own settings.
+// --flight_dump=<path> / --flight_slo_us=<n> / --flight_busy: the
+// flight-recorder options (sim/flight_recorder.h, DESIGN.md §14) that
+// every device testbed applies to its simulation's ring.
 class FlightRequest {
  public:
-  static void Set(std::string dump_path, Tick slo_exec_ns, bool dump_on_busy);
-  static void Configure(device::FlightRecorderConfig* config);
+  static void Set(sim::FlightRecorder::Options options);
+  static void EnableOn(sim::Simulation* sim);
 };
 
 // One-stop bench wiring: forwards --trace=<path>, --telemetry=<path>,

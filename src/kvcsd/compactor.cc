@@ -467,8 +467,11 @@ sim::Task<Status> Device::CompactKeyspace(
       // Make the rollback durable so a later crash cannot resurrect the
       // COMPACTING state. Best-effort: the snapshot still on flash also
       // rolls back correctly at recovery.
-      (void)co_await keyspace_manager_.Persist();
+      Status persisted = co_await keyspace_manager_.Persist();
+      WarnDiscarded("rollback persist of keyspace '" + ks->name + "'",
+                    persisted);
     }
+    ReportBackgroundFailure("compaction", *ks, result);
   }
   ks->last_compaction = result;
   CompactionDone(ks->id)->Set();

@@ -63,31 +63,16 @@ Device::Device(sim::Simulation* sim, const DeviceConfig& config,
       cpu_(sim, config_.stats_prefix + "soc", config_.soc_cores),
       index_cache_(config_.EffectiveIndexCacheBytes()),
       faults_(config_.zns.faults),
-      dispatch_meter_(sim, config_.stats_prefix + "dispatch", 1.0),
-      flight_(std::make_shared<FlightRecorder>(config_.flight)) {
-  if (faults_ != nullptr) faults_->set_log(&sim_->log());
+      dispatch_meter_(sim, config_.stats_prefix + "dispatch", 1.0) {
+  if (faults_ != nullptr) faults_->set_flight_recorder(&sim_->flight());
   // Key "<prefix>device" on purpose: a Device::Restart over the same
   // simulation re-registers and supersedes the powered-off device's gauges.
   telemetry_token_ = sim_->telemetry().AddSource(
       config_.stats_prefix + "device",
       [this](sim::TelemetrySampler::Gauges* out) { CollectTelemetry(out); });
-  flight_->set_snapshot_provider(
-      [this](sim::TelemetrySampler::Gauges* out) { CollectTelemetry(out); });
-  if (faults_ != nullptr && config_.flight.dump_on_crash) {
-    // Dump the ring the instant power dies, before any state is torn
-    // down — the hook list is cleared by the injector after the crash.
-    flight_crash_token_ = faults_->AddCrashHook([this] {
-      flight_->Dump("crash", sim_->Now(), faults_->crash_point());
-    });
-  }
 }
 
-Device::~Device() {
-  sim_->telemetry().RemoveSource(telemetry_token_);
-  if (faults_ != nullptr && flight_crash_token_ != 0) {
-    faults_->RemoveCrashHook(flight_crash_token_);
-  }
-}
+Device::~Device() { sim_->telemetry().RemoveSource(telemetry_token_); }
 
 void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
   // Gauge names carry the instance prefix (empty in single-device sims,
@@ -157,7 +142,9 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
   ssd_.nand().meter().AppendGauges(out);
   queues_->h2d_meter().AppendGauges(out);
   queues_->d2h_meter().AppendGauges(out);
-  out->emplace_back(p + "device.flight.trips", flight_->trips());
+  // Every flight-recorder dump so far. The ring is the simulation's, so
+  // each shard of a fleet reports the same fleet-wide count.
+  out->emplace_back(p + "device.flight.trips", sim_->flight().trips());
 }
 
 // ---------------------------------------------------------------------------
@@ -229,14 +216,6 @@ std::unique_ptr<Device> Device::Restart(sim::Simulation* sim,
   if (config.zns.faults != nullptr) config.zns.faults->ResetForRestart();
   auto device = std::make_unique<Device>(sim, config, queues);
   device->ssd_.CloneStateFrom(prior.ssd_);
-  // The flight recorder survives the power cycle (like sim::Log): the
-  // pre-crash command history stays readable from the restarted device.
-  // Re-bind the snapshot provider so a post-restart dump reflects the live
-  // device, not the powered-off one.
-  device->flight_ = prior.flight_;
-  Device* raw = device.get();
-  device->flight_->set_snapshot_provider(
-      [raw](sim::TelemetrySampler::Gauges* out) { raw->CollectTelemetry(out); });
   return device;
 }
 
@@ -363,20 +342,15 @@ sim::Task<void> Device::HandleCommand(nvme::QueuePair::Incoming incoming) {
   }
   // Flight recorder: one summary per completed command, recorded before
   // the completion DMA so a breach dump never misses its own trigger.
-  FlightRecorder::Entry fe;
-  fe.cmd_id = incoming.cmd_id;
-  fe.opcode = op;
-  fe.queue_id = incoming.queue_id;
-  fe.tick = sim_->Now();
-  fe.queue_wait_ns = incoming.dequeue_tick - incoming.enqueue_tick;
-  fe.dispatch_ns = begin - incoming.dequeue_tick;
-  fe.exec_ns = sim_->Now() - begin;
-  fe.status = completion.status.code();
-  flight_->Record(fe);
-  if (const char* reason = flight_->BreachReason(fe)) {
-    stats().counter("device.flight.trips_total").Increment();
-    flight_->Dump(reason, sim_->Now());
-  }
+  sim::FlightRecorder::Command summary;
+  summary.cmd_id = incoming.cmd_id;
+  summary.op = nvme::OpcodeName(op);
+  summary.queue_id = incoming.queue_id;
+  summary.queue_wait_ns = incoming.dequeue_tick - incoming.enqueue_tick;
+  summary.dispatch_ns = begin - incoming.dequeue_tick;
+  summary.exec_ns = sim_->Now() - begin;
+  summary.status = completion.status.code();
+  sim_->flight().RecordCommand(summary);
   co_await queues_->Complete(std::move(incoming), std::move(completion));
 }
 
@@ -671,11 +645,12 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
   if (ks->pending_delete || ks->delta_index.empty()) return;
   if (ks->delta_index_bytes < config_.delta_fold_watermark_bytes) return;
   stats().counter("device.delta.watermark_folds").Increment();
-  sim_->log().Info("device",
-                   "delta watermark: keyspace '" + ks->name + "' index at " +
-                       std::to_string(ks->delta_index_bytes) + " B >= " +
-                       std::to_string(config_.delta_fold_watermark_bytes) +
-                       " B, folding");
+  sim_->flight().Info(trk_device_,
+                      "delta watermark: keyspace '" + ks->name +
+                          "' index at " +
+                          std::to_string(ks->delta_index_bytes) + " B >= " +
+                          std::to_string(config_.delta_fold_watermark_bytes) +
+                          " B, folding");
   ks->state = KeyspaceState::kRecompacting;
   CompactionDone(ks->id)->Reset();
   sim_->Spawn([](Device* device, Keyspace* target) -> sim::Task<void> {
@@ -998,7 +973,32 @@ sim::Task<Status> Device::DoSync(Keyspace* ks) {
 sim::Task<void> Device::ReleaseClustersBestEffort(std::vector<ClusterId> ids) {
   for (ClusterId id : ids) {
     Status s = co_await zone_manager_.ReleaseCluster(id);
-    (void)s;  // NotFound after double release / IoError after power cut
+    if (!s.ok()) {
+      std::string what = "release of cluster ";
+      what += std::to_string(id);
+      WarnDiscarded(what, s);
+    }
+  }
+}
+
+void Device::WarnDiscarded(std::string_view what, const Status& s) {
+  if (s.ok()) return;
+  std::string message(what);
+  message += " failed: ";
+  message += s.ToString();
+  sim_->flight().Warn(trk_device_, message);
+}
+
+void Device::ReportBackgroundFailure(std::string_view job, const Keyspace& ks,
+                                     const Status& s) {
+  std::string message(job);
+  message += " of keyspace '";
+  message += ks.name;
+  message += "' failed: ";
+  message += s.ToString();
+  sim_->flight().Error(trk_device_, message);
+  if (faults_ == nullptr || !faults_->crashed()) {
+    sim_->flight().Dump("background_error");
   }
 }
 
@@ -1064,8 +1064,10 @@ sim::Task<void> Device::MaybeFinishPendingDelete(Keyspace* ks) {
   }
   // Clear before the first await so concurrent callers cannot double-drop.
   ks->pending_delete = false;
+  // FinishDrop frees *ks; name the keyspace from a copy.
+  const std::string what = "deferred drop of keyspace '" + ks->name + "'";
   Status s = co_await FinishDrop(ks);
-  (void)s;  // deferred drops have no command to answer to
+  WarnDiscarded(what, s);
 }
 
 }  // namespace kvcsd::device

@@ -15,17 +15,21 @@
 //     SIDX BUILD    -> full scan + extract + external sort -> SIDX blocks
 //     QUERIES       -> sketch -> 4 KB index blocks -> value gather; only
 //                      results cross PCIe back to the host
+//
+// Every completed command, and every background failure the host has no
+// command to hear about, lands in the simulation's flight recorder
+// (sim/flight_recorder.h); the device does not own a ring of its own.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "hostenv/cost_model.h"
-#include "kvcsd/flight_recorder.h"
 #include "kvcsd/index_cache.h"
 #include "kvcsd/keyspace_manager.h"
 #include "kvcsd/zone_manager.h"
@@ -68,11 +72,6 @@ struct DeviceConfig {
   std::uint32_t gather_fanout = 8;
   // Overlap the next index-block read with the current one in range scans.
   bool index_prefetch = true;
-
-  // Flight recorder (DESIGN.md §14): ring capacity, SLO trip rules, dump
-  // path. The ring itself is always on; dumps only happen when a rule is
-  // configured (or the fault injector cuts power with dump_on_crash set).
-  FlightRecorderConfig flight;
 
   // Stats/telemetry/trace name prefix for this device instance. Empty (the
   // default) keeps every historical name; a fleet of devices sharing one
@@ -156,7 +155,8 @@ class Device {
   // so the new device's I/O is live again, then clones the zone payloads.
   // The caller Start()s the new device and runs Recover() on it; `prior`
   // must stay alive (it still parks a coroutine on its old queue set)
-  // but is permanently idle. `queues` must be a fresh queue set.
+  // but is permanently idle. `queues` must be a fresh queue set. The
+  // flight recorder lives on `sim`, so its history needs no hand-off.
   static std::unique_ptr<Device> Restart(sim::Simulation* sim,
                                          const DeviceConfig& config,
                                          nvme::QueueSet* queues,
@@ -213,11 +213,6 @@ class Device {
   nvme::StatsPage BuildStatsPage() const;
   // The health page rendered as a JSON object ({"tick":..., "gauges":{}}).
   std::string HealthJson() const;
-
-  // Bounded ring of recent command summaries + SLO trip dumps. Shared with
-  // the Restart successor so a power cycle keeps pre-crash history.
-  FlightRecorder& flight() { return *flight_; }
-  const FlightRecorder& flight() const { return *flight_; }
 
   // Windowed wall-time meter of the single-core command dispatch loop
   // (capacity 1.0): the ROADMAP's known serialization bottleneck, made
@@ -442,9 +437,18 @@ class Device {
   sim::Task<Status> FinishDrop(Keyspace* ks);
   // Runs a deferred drop once the keyspace is unpinned and idle.
   sim::Task<void> MaybeFinishPendingDelete(Keyspace* ks);
-  // Releases every cluster in `ids`, ignoring failures (NotFound after a
-  // double release, I/O errors after a power cut).
+  // Releases every cluster in `ids`; a failure (NotFound after a double
+  // release, I/O errors after a power cut) is only recorded as a warning.
   sim::Task<void> ReleaseClustersBestEffort(std::vector<ClusterId> ids);
+
+  // --- background failures, which no command answers for ---
+  // A warn breadcrumb in the flight recorder when `s` is not Ok.
+  void WarnDiscarded(std::string_view what, const Status& s);
+  // A failed compaction or fold (`job`): an error breadcrumb naming the
+  // keyspace and status, and a "background_error" dump unless the power
+  // is already cut (the crash dump covers that).
+  void ReportBackgroundFailure(std::string_view job, const Keyspace& ks,
+                               const Status& s);
 
   // --- recovery helpers (recovery.cc) ---
   // Streams a WRITABLE keyspace's KLOG chain to rebuild num_kvs, min_key,
@@ -488,10 +492,6 @@ class Device {
   sim::FaultInjector* faults_ = nullptr;
   // Wall time of the single dispatch core (MainLoop), per activity class.
   sim::ResourceMeter dispatch_meter_;
-  // Shared across Device::Restart so pre-crash history survives the cycle.
-  std::shared_ptr<FlightRecorder> flight_;
-  // Crash-hook registration for the dump-on-crash rule (0 = none).
-  std::uint64_t flight_crash_token_ = 0;
 
   std::map<std::uint64_t, WriteBuffer> buffers_;
   std::map<std::uint64_t, std::unique_ptr<sim::Semaphore>> write_locks_;

@@ -130,8 +130,11 @@ sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
     if (faults_ == nullptr || !faults_->crashed()) {
       // Durable rollback, so a later crash cannot resurrect RECOMPACTING.
       // Best-effort: recovery also rolls the on-flash state back.
-      (void)co_await keyspace_manager_.Persist();
+      Status persisted = co_await keyspace_manager_.Persist();
+      WarnDiscarded("rollback persist of keyspace '" + ks->name + "'",
+                    persisted);
     }
+    ReportBackgroundFailure("fold", *ks, result);
   }
   ks->last_compaction = result;
   CompactionDone(ks->id)->Set();

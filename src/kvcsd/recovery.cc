@@ -70,7 +70,7 @@ void AppendAll(std::vector<ClusterId>* out,
 
 sim::Task<Status> Device::Recover() {
   sim::TraceSpan span(sim_, trk_recovery_, "recover");
-  sim::Log& log = sim_->log();
+  sim::FlightRecorder& log = sim_->flight();
   log.Info("recovery", "start (crash point '" +
                            (faults_ != nullptr ? faults_->crash_point()
                                                : std::string()) +
@@ -253,7 +253,7 @@ sim::Task<Status> Device::ReplayKlogChains(Keyspace* ks) {
         }
       }
       if (stream.torn_bytes() > 0) {
-        sim_->log().Warn(
+        sim_->flight().Warn(
             "recovery", "keyspace '" + ks->name + "' zone " +
                             std::to_string(zone) + ": truncating " +
                             std::to_string(stream.torn_bytes()) +
@@ -310,7 +310,7 @@ sim::Task<Status> Device::ReplayDeltaChains(Keyspace* ks) {
         }
       }
       if (stream.torn_bytes() > 0) {
-        sim_->log().Warn(
+        sim_->flight().Warn(
             "recovery", "keyspace '" + ks->name + "' delta zone " +
                             std::to_string(zone) + ": truncating " +
                             std::to_string(stream.torn_bytes()) +

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "sim/log.h"
+#include "sim/flight_recorder.h"
 
 namespace kvcsd::sim {
 
@@ -34,9 +34,10 @@ bool FaultInjector::Hit(std::string_view point) {
                         it->second == armed_point_nth_;
   if (by_global || by_point) {
     crash_point_ = std::string(point);
-    if (log_ != nullptr) {
-      log_->Error("fault", "crash point '" + crash_point_ + "' tripped (hit #" +
-                               std::to_string(total_hits_) + ")");
+    if (flight_ != nullptr) {
+      flight_->Error("fault", "crash point '" + crash_point_ +
+                                  "' tripped (hit #" +
+                                  std::to_string(total_hits_) + ")");
     }
     Crash();
   }
@@ -59,12 +60,11 @@ void FaultInjector::Crash() {
   std::vector<std::pair<std::uint64_t, std::function<void()>>> hooks;
   hooks.swap(crash_hooks_);
   for (auto& [token, hook] : hooks) hook();
-  if (log_ != nullptr) {
-    log_->Error("fault", "power cut" + (crash_point_.empty()
-                                            ? std::string(" (manual)")
-                                            : " at '" + crash_point_ + "'"));
-    log_->DumpToStderr(crash_point_.empty() ? "power cut"
-                                            : "crash at " + crash_point_);
+  if (flight_ != nullptr) {
+    flight_->Error("fault", "power cut" + (crash_point_.empty()
+                                               ? std::string(" (manual)")
+                                               : " at '" + crash_point_ + "'"));
+    flight_->Dump("crash", crash_point_);
   }
 }
 
@@ -106,10 +106,10 @@ Status FaultInjector::OnIo(FaultOp op, std::uint32_t zone) {
     }
     ++armed.injected;
     ++errors_injected_;
-    if (log_ != nullptr) {
-      log_->Warn("fault", "injected " + std::string(FaultOpName(op)) +
-                              " error on zone " + std::to_string(zone) + ": " +
-                              rule.message);
+    if (flight_ != nullptr) {
+      flight_->Warn("fault", "injected " + std::string(FaultOpName(op)) +
+                                 " error on zone " + std::to_string(zone) +
+                                 ": " + rule.message);
     }
     return Status(rule.code, rule.message);
   }

@@ -21,6 +21,11 @@
 // registered crash hooks, and ZnsSsd registers one that truncates the
 // in-flight last append to a configurable fraction — the classic
 // power-loss artifact that log recovery must tolerate.
+//
+// Bound to the simulation's flight recorder (flight_recorder.h), the
+// injector records armed crashes and injected I/O errors there, and on
+// Crash() records the power cut and dumps the ring ("crash", naming the
+// crash point), so the commands leading up to the cut are preserved.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +40,7 @@
 
 namespace kvcsd::sim {
 
-class Log;
+class FlightRecorder;
 
 enum class FaultOp : std::uint8_t {
   kAppend = 0,
@@ -77,8 +82,9 @@ class FaultInjector {
   // of name — the sweep driver's way to cover every reachable point.
   void ArmCrashAtHit(std::uint64_t global_hit);
 
-  // Immediate power cut: marks the injector crashed and runs the
-  // registered crash hooks (e.g. the SSD's torn-tail truncation) once.
+  // Immediate power cut: marks the injector crashed, runs the registered
+  // crash hooks (e.g. the SSD's torn-tail truncation) once, then records
+  // the cut in the flight recorder and dumps it.
   void Crash();
 
   bool crashed() const { return crashed_; }
@@ -114,14 +120,11 @@ class FaultInjector {
   void set_torn_tail_keep(double fraction) { torn_tail_keep_ = fraction; }
   double torn_tail_keep() const { return torn_tail_keep_; }
 
-  // --- structured logging ---
+  // --- flight recorder ---
 
-  // Binds the simulation's event log (log.h). The injector records armed
-  // crashes, injected I/O errors, and the power cut itself, and dumps the
-  // whole ring to stderr when a crash point trips — the flight recorder
-  // for crash-sweep failures. The log must outlive the injector's use.
-  void set_log(Log* log) { log_ = log; }
-  Log* log() const { return log_; }
+  // Binds the simulation's flight recorder (the device does this). It
+  // must outlive the injector's use; unbound, nothing is recorded.
+  void set_flight_recorder(FlightRecorder* flight) { flight_ = flight; }
 
   // Prepares the injector for a Device::Restart over the surviving bytes:
   // clears the crashed flag, armed crash points, crash hooks, and error
@@ -131,7 +134,7 @@ class FaultInjector {
 
  private:
   Rng rng_;
-  Log* log_ = nullptr;
+  FlightRecorder* flight_ = nullptr;
   bool crashed_ = false;
   std::string crash_point_;
 

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/log.h"
+#include "sim/flight_recorder.h"
 #include "sim/stats.h"
 #include "sim/task.h"
 #include "sim/telemetry.h"
@@ -26,9 +26,7 @@ namespace kvcsd::sim {
 
 class Simulation {
  public:
-  Simulation() {
-    log_.BindClock([this] { return now_; });
-  }
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -91,10 +89,11 @@ class Simulation {
   TelemetrySampler& telemetry() { return telemetry_; }
   const TelemetrySampler& telemetry() const { return telemetry_; }
 
-  // Structured event ring (log.h); stamped with the simulated clock.
-  // Owned here rather than by the Device so it survives power cycles.
-  Log& log() { return log_; }
-  const Log& log() const { return log_; }
+  // The one event ring (flight_recorder.h): command summaries and
+  // breadcrumbs, stamped with the simulated clock. Owned here rather than
+  // by a Device so it survives power cycles and holds every shard.
+  FlightRecorder& flight() { return flight_; }
+  const FlightRecorder& flight() const { return flight_; }
 
   // Monotonic causal command id, unique for the simulation's lifetime
   // (across Device::Restart power cycles and any number of clients). Ids
@@ -128,7 +127,7 @@ class Simulation {
   Stats stats_;
   Tracer tracer_;
   TelemetrySampler telemetry_;
-  Log log_;
+  FlightRecorder flight_{&now_, &telemetry_};
   std::uint64_t last_cmd_id_ = 0;
 };
 

@@ -43,7 +43,7 @@ void TelemetrySampler::Sample(Tick now) {
   point.tick = now - now % interval_;
   next_due_ = point.tick + interval_;
   scratch_.clear();
-  for (Source& s : sources_) s.fn(&scratch_);
+  Collect(&scratch_);
   point.values.reserve(scratch_.size());
   for (auto& [name, value] : scratch_) {
     point.values.emplace_back(NameId(name), value);
@@ -53,6 +53,10 @@ void TelemetrySampler::Sample(Tick now) {
     samples_.pop_front();
     ++dropped_;
   }
+}
+
+void TelemetrySampler::Collect(Gauges* out) const {
+  for (const Source& s : sources_) s.fn(out);
 }
 
 void TelemetrySampler::Clear() {

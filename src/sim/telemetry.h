@@ -54,6 +54,9 @@ class TelemetrySampler {
     return enabled_ && now >= next_due_ && !sources_.empty();
   }
   void Sample(Tick now);
+  // Appends every source's current gauges to `out`, enabled or not (the
+  // flight recorder's utilization snapshot).
+  void Collect(Gauges* out) const;
 
   struct SamplePoint {
     Tick tick = 0;

@@ -6,8 +6,6 @@
 
 namespace kvcsd::sim {
 
-namespace {
-
 void AppendJsonEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     switch (c) {
@@ -38,6 +36,8 @@ void AppendJsonEscaped(std::string* out, std::string_view s) {
     }
   }
 }
+
+namespace {
 
 // Ticks are nanoseconds; trace_event timestamps are microseconds. Three
 // decimals keep full nanosecond precision and a deterministic rendering.

@@ -29,6 +29,9 @@ namespace kvcsd::sim {
 
 class Simulation;
 
+// Appends `s` with JSON string escaping (no surrounding quotes).
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 class Tracer {
  public:
   static constexpr std::size_t kDefaultMaxEvents = 1 << 20;

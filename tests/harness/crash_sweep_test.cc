@@ -18,9 +18,11 @@ CrashSweepConfig SweepConfig() {
   return c;
 }
 
+// The crash dump rides along only for a failing case.
 std::string Describe(const CrashSweepReport& report) {
   std::string out = "crash_point=" + report.crash_point;
   for (const std::string& v : report.violations) out += "\n  " + v;
+  if (!report.ok()) out += "\nflight recorder:\n" + report.crash_dump;
   return out;
 }
 
@@ -45,6 +47,9 @@ TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {
     ASSERT_TRUE(report.ok())
         << "case " << k << ": " << report.status().ToString();
     EXPECT_TRUE(report->fired) << "case " << k << " never crashed";
+    EXPECT_NE(report->crash_dump.find("\"reason\": \"crash\""),
+              std::string::npos)
+        << "case " << k << " has no crash dump";
     EXPECT_TRUE(report->ok())
         << "case " << k << ": " << Describe(*report);
     points_seen.insert(report->crash_point);

@@ -347,6 +347,24 @@ TEST(CsdTest, WaitCompactionReportsBackgroundFailure) {
     KVCSD_CO_ASSERT_OK(stat);
     EXPECT_EQ(stat->state, "WRITABLE");
   }(&f.db));
+
+  // The failure also lands in the flight recorder: an error breadcrumb
+  // naming the keyspace and status, and a background_error dump.
+  bool reported = false;
+  for (const auto& e : f.sim.flight().Entries()) {
+    if (e.kind == sim::FlightRecorder::Entry::Kind::kEvent &&
+        e.level == sim::LogLevel::kError &&
+        e.message.find("compaction of keyspace 'full'") != std::string::npos &&
+        e.message.find("OutOfSpace") != std::string::npos) {
+      reported = true;
+    }
+  }
+  EXPECT_TRUE(reported);
+  EXPECT_EQ(f.sim.flight().trips(), 1u);
+  const std::string& dump = f.sim.flight().last_dump();
+  EXPECT_NE(dump.find("\"reason\": \"background_error\""),
+            std::string::npos);
+  EXPECT_NE(dump.find("compaction of keyspace 'full'"), std::string::npos);
 }
 
 TEST(CsdTest, MetadataSurvivesPowerCycle) {

@@ -1,9 +1,10 @@
-// Flight recorder (DESIGN.md §14): a bounded ring of recent command
-// summaries that dumps itself — with a utilization snapshot — when an SLO
-// rule trips or the fault injector cuts power, and that survives
-// Device::Restart so the post-crash dump still shows the pre-crash tail.
+// The simulation's flight recorder seen from the device path (DESIGN.md
+// §14): every completed command lands in the one Simulation-owned ring,
+// an SLO rule or a power cut dumps it, and because the Simulation owns it
+// the ring survives Device::Restart and holds every shard of a fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -15,9 +16,10 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "harness/sharded_testbed.h"
 #include "kvcsd/device.h"
-#include "kvcsd/flight_recorder.h"
 #include "sim/fault.h"
+#include "sim/flight_recorder.h"
 
 namespace kvcsd::device {
 namespace {
@@ -33,75 +35,6 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-FlightRecorder::Entry MakeEntry(std::uint64_t cmd_id) {
-  FlightRecorder::Entry e;
-  e.cmd_id = cmd_id;
-  e.opcode = nvme::Opcode::kKvStore;
-  e.tick = 1000 * cmd_id;
-  e.exec_ns = 500;
-  return e;
-}
-
-TEST(FlightRecorderTest, RingSaturatesAndKeepsNewestOldestFirst) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 4;
-  FlightRecorder rec(cfg);
-  EXPECT_EQ(rec.size(), 0u);
-  for (std::uint64_t i = 1; i <= 10; ++i) rec.Record(MakeEntry(i));
-  EXPECT_EQ(rec.size(), 4u);
-  const auto entries = rec.Entries();
-  ASSERT_EQ(entries.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(entries[i].cmd_id, 7 + i);  // oldest first: 7, 8, 9, 10
-  }
-}
-
-TEST(FlightRecorderTest, BreachRulesMatchConfig) {
-  FlightRecorderConfig cfg;
-  cfg.slo_exec_ns = 1000;
-  cfg.dump_on_busy = true;
-  FlightRecorder rec(cfg);
-
-  FlightRecorder::Entry fast = MakeEntry(1);
-  fast.exec_ns = 999;
-  EXPECT_EQ(rec.BreachReason(fast), nullptr);
-
-  FlightRecorder::Entry slow = MakeEntry(2);
-  slow.exec_ns = 1001;
-  ASSERT_NE(rec.BreachReason(slow), nullptr);
-  EXPECT_STREQ(rec.BreachReason(slow), "slo_exec");
-
-  FlightRecorder::Entry busy = MakeEntry(3);
-  busy.status = StatusCode::kBusy;
-  ASSERT_NE(rec.BreachReason(busy), nullptr);
-  EXPECT_STREQ(rec.BreachReason(busy), "busy");
-
-  // No rules configured: nothing trips, not even errors.
-  FlightRecorder rec_off(FlightRecorderConfig{});
-  EXPECT_EQ(rec_off.BreachReason(slow), nullptr);
-  EXPECT_EQ(rec_off.BreachReason(busy), nullptr);
-}
-
-TEST(FlightRecorderTest, DumpCarriesSnapshotAndEntries) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 8;
-  FlightRecorder rec(cfg);
-  rec.set_snapshot_provider(
-      [](std::vector<std::pair<std::string, std::uint64_t>>* out) {
-        out->emplace_back("util.dispatch.dispatch", 987);
-      });
-  rec.Record(MakeEntry(41));
-  rec.Record(MakeEntry(42));
-  const std::string dump = rec.Dump("slo_exec", 123456, "");
-  EXPECT_EQ(rec.trips(), 1u);
-  EXPECT_EQ(rec.last_dump(), dump);
-  EXPECT_NE(dump.find("\"reason\": \"slo_exec\""), std::string::npos);
-  EXPECT_NE(dump.find("util.dispatch.dispatch"), std::string::npos);
-  EXPECT_NE(dump.find("987"), std::string::npos);
-  EXPECT_NE(dump.find("\"cmd_id\": 41"), std::string::npos);
-  EXPECT_NE(dump.find("\"cmd_id\": 42"), std::string::npos);
-}
-
 // Same restartable fixture shape as observability_test.cc.
 struct Fixture {
   sim::Simulation sim;
@@ -112,9 +45,10 @@ struct Fixture {
   sim::CpuPool host{&sim, "host", 8};
   std::unique_ptr<client::Client> db;
 
-  explicit Fixture(FlightRecorderConfig flight) : cfg(SmallDevice()) {
+  explicit Fixture(sim::FlightRecorder::Options flight = {})
+      : cfg(SmallDevice()) {
+    sim.flight().set_options(std::move(flight));
     cfg.zns.faults = &faults;
-    cfg.flight = flight;
     qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
@@ -157,8 +91,28 @@ sim::Task<void> PutIgnoringErrors(client::Client* db, const std::string& name,
   (void)co_await ks->Sync();
 }
 
+using Kind = sim::FlightRecorder::Entry::Kind;
+
+std::size_t CountCommands(const sim::FlightRecorder& flight) {
+  std::size_t n = 0;
+  for (const auto& e : flight.Entries()) n += e.kind == Kind::kCommand;
+  return n;
+}
+
+// The "tick" of every entry in a dump, in document order.
+std::vector<Tick> DumpEntryTicks(const std::string& dump) {
+  std::vector<Tick> ticks;
+  const std::string key = "\"tick\": ";
+  std::size_t pos = dump.find("\"entries\"");
+  while ((pos = dump.find("{\"seq\": ", pos)) != std::string::npos) {
+    pos = dump.find(key, pos) + key.size();
+    ticks.push_back(std::stoull(dump.substr(pos)));
+  }
+  return ticks;
+}
+
 TEST(FlightRecorderDeviceTest, SloBreachTripsDumpAndCounter) {
-  FlightRecorderConfig flight;
+  sim::FlightRecorder::Options flight;
   flight.slo_exec_ns = 1;  // every command breaches
   // A dump path makes every trip also land on disk (<path>.<trip>.json) —
   // the files CI uploads as artifacts when a job fails.
@@ -166,17 +120,19 @@ TEST(FlightRecorderDeviceTest, SloBreachTripsDumpAndCounter) {
   Fixture f(flight);
   testutil::RunSim(f.sim, PutSome(f.db.get(), "slo", 20));
 
-  EXPECT_GT(f.dev()->flight().trips(), 0u);
-  EXPECT_EQ(f.sim.stats().counter_value("device.flight.trips_total"),
-            f.dev()->flight().trips());
-  const std::string& dump = f.dev()->flight().last_dump();
+  const sim::FlightRecorder& rec = f.sim.flight();
+  EXPECT_GT(rec.trips(), 0u);
+  // One trip count: the health gauge reads the recorder's.
+  EXPECT_EQ(f.dev()->BuildHealthPage().Gauge("device.flight.trips"),
+            rec.trips());
+  const std::string& dump = rec.last_dump();
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"reason\": \"slo_exec\""), std::string::npos);
   EXPECT_NE(dump.find("\"utilization\""), std::string::npos);
   EXPECT_NE(dump.find("util.dispatch.dispatch"), std::string::npos);
 
   std::ifstream on_disk("flight_recorder_test.flight." +
-                        std::to_string(f.dev()->flight().trips()) + ".json");
+                        std::to_string(rec.trips()) + ".json");
   ASSERT_TRUE(on_disk.good());
   std::string file_dump((std::istreambuf_iterator<char>(on_disk)),
                         std::istreambuf_iterator<char>());
@@ -188,39 +144,117 @@ TEST(FlightRecorderDeviceTest, SweptCrashPointDumpsAndRingSurvivesRestart) {
   // workload hits, then re-run with the cut armed mid-sweep.
   std::uint64_t hits = 0;
   {
-    Fixture warm((FlightRecorderConfig()));
+    Fixture warm;
     testutil::RunSim(warm.sim, PutSome(warm.db.get(), "cp", 40));
     hits = warm.faults.hits();
   }
   ASSERT_GT(hits, 0u);
 
-  Fixture f((FlightRecorderConfig()));
+  Fixture f;
   f.faults.ArmCrashAtHit(hits / 2 + 1);
   testutil::RunSim(f.sim, PutIgnoringErrors(f.db.get(), "cp", 40));
   ASSERT_TRUE(f.faults.crashed());
   EXPECT_FALSE(f.faults.crash_point().empty());
 
-  // The crash hook dumped the ring with the crash point attached.
-  EXPECT_GE(f.dev()->flight().trips(), 1u);
-  const std::string dump = f.dev()->flight().last_dump();
+  // The injector dumped the ring with the crash point attached.
+  const sim::FlightRecorder& rec = f.sim.flight();
+  EXPECT_GE(rec.trips(), 1u);
+  const std::string dump = rec.last_dump();
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"reason\": \"crash\""), std::string::npos);
   EXPECT_NE(dump.find(f.faults.crash_point()), std::string::npos);
 
-  // The ring is shared with the next incarnation: pre-crash entries stay
-  // readable and post-restart commands append after them.
-  const std::size_t before = f.dev()->flight().size();
+  // The ring outlives the device: pre-crash entries stay readable and
+  // post-restart commands append after them.
+  const std::uint64_t before = rec.total_written();
   ASSERT_GT(before, 0u);
-  const Tick last_precrash_tick = f.dev()->flight().Entries().back().tick;
+  const Tick last_precrash_tick = rec.Entries().back().tick;
   f.Restart();
   testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
   }(f.dev()));
   testutil::RunSim(f.sim, PutSome(f.db.get(), "cp2", 10));
-  EXPECT_GE(f.dev()->flight().size(), before);
+  EXPECT_GT(rec.total_written(), before);
   // Sim time is monotonic across the power cycle, so new entries sort
   // after the pre-crash tail.
-  EXPECT_GT(f.dev()->flight().Entries().back().tick, last_precrash_tick);
+  EXPECT_GT(rec.Entries().back().tick, last_precrash_tick);
+}
+
+// A power cut yields exactly one dump, and it holds both the commands that
+// ran before the cut and the injector's crash-point and power-cut
+// breadcrumbs, all in one tick order.
+TEST(FlightRecorderDeviceTest, PowerCutDumpsCommandsAndBreadcrumbsInOrder) {
+  Fixture f;
+  f.faults.ArmCrashAtPoint("flush.between_logs", 2);
+  testutil::RunSim(f.sim, PutIgnoringErrors(f.db.get(), "cut", 400));
+  ASSERT_TRUE(f.faults.crashed());
+
+  const sim::FlightRecorder& rec = f.sim.flight();
+  EXPECT_EQ(rec.trips(), 1u);
+  const std::string& dump = rec.last_dump();
+  EXPECT_NE(dump.find("\"reason\": \"crash\""), std::string::npos);
+  EXPECT_NE(dump.find("\"crash_point\": \"flush.between_logs\""),
+            std::string::npos);
+  const std::size_t tripped =
+      dump.find("crash point 'flush.between_logs' tripped");
+  const std::size_t cut = dump.find("power cut at 'flush.between_logs'");
+  ASSERT_NE(tripped, std::string::npos);
+  ASSERT_NE(cut, std::string::npos);
+  EXPECT_LT(tripped, cut);
+  // Acknowledged puts precede the breadcrumbs.
+  const std::size_t first_cmd = dump.find("\"kind\": \"cmd\"");
+  ASSERT_NE(first_cmd, std::string::npos);
+  EXPECT_LT(first_cmd, tripped);
+  EXPECT_NE(dump.find("\"op\": \"kv_store\""), std::string::npos);
+
+  const std::vector<Tick> ticks = DumpEntryTicks(dump);
+  ASSERT_GT(ticks.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(ticks.begin(), ticks.end()));
+}
+
+// One ring per simulation: a 2-shard fleet records both shards' commands
+// in it, and a dump's utilization reads the live devices — including the
+// incarnation that replaced a power-cycled one.
+TEST(FlightRecorderDeviceTest, OneRingHoldsEveryShardAndTheLiveDevice) {
+  harness::ShardedTestbedConfig config;
+  config.shard.device = SmallDevice();
+  config.num_shards = 2;
+  harness::ShardedTestbed bed(config);
+  testutil::RunSim(bed.sim(),
+                   [](harness::ShardedTestbed* b) -> sim::Task<void> {
+                     auto ks = co_await b->router().CreateKeyspace("fleet");
+                     KVCSD_CO_ASSERT_OK(ks);
+                     for (std::uint64_t i = 0; i < 32; ++i) {
+                       KVCSD_CO_ASSERT_OK(co_await ks->Put(
+                           MakeFixedKey(i), "v" + std::to_string(i)));
+                     }
+                   }(&bed));
+  std::uint64_t per_shard[2] = {0, 0};
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    const std::string p = "shard" + std::to_string(i) + ".device.cmd.";
+    per_shard[i] = bed.sim().stats().counter_value(p + "kv_store") +
+                   bed.sim().stats().counter_value(p + "keyspace_create");
+    EXPECT_GT(per_shard[i], 0u) << "shard " << i << " saw no commands";
+  }
+  EXPECT_EQ(CountCommands(bed.sim().flight()), per_shard[0] + per_shard[1]);
+  const std::string fleet = bed.sim().flight().Dump("probe");
+  EXPECT_NE(fleet.find("shard0.device.ks.fleet.num_kvs"), std::string::npos);
+  EXPECT_NE(fleet.find("shard1.device.ks.fleet.num_kvs"), std::string::npos);
+
+  // After a power cycle the dump shows the new incarnation: only it has
+  // the keyspace created after the restart.
+  Fixture f;
+  testutil::RunSim(f.sim, PutSome(f.db.get(), "before", 10));
+  f.faults.Crash();
+  f.Restart();
+  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+  }(f.dev()));
+  testutil::RunSim(f.sim, PutSome(f.db.get(), "after", 10));
+  const std::string live = f.sim.flight().Dump("probe");
+  EXPECT_NE(live.find("\"device.ks.after.num_kvs\": 10"), std::string::npos);
+  EXPECT_NE(live.find("\"device.ks.before.num_kvs\": 10"),
+            std::string::npos);
 }
 
 }  // namespace

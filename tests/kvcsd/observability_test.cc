@@ -1,4 +1,4 @@
-// Device-path observability across power cycles: the structured log ring
+// Device-path observability across power cycles: the flight recorder ring
 // is owned by the Simulation and must survive Device::Restart, and the
 // stats/telemetry snapshots must stay consistent across a crash — no
 // leaked in-flight commands, no double-counted stages, no gauge source
@@ -16,7 +16,7 @@
 #include "common/keys.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
-#include "sim/log.h"
+#include "sim/flight_recorder.h"
 #include "sim/telemetry.h"
 
 namespace kvcsd::device {
@@ -71,8 +71,9 @@ sim::Task<void> LoadAndSync(client::Client* db, const std::string& name,
   auto ks = co_await db->CreateKeyspace(name);
   KVCSD_CO_ASSERT_OK(ks);
   for (std::uint64_t i = 0; i < count; ++i) {
-    KVCSD_CO_ASSERT_OK(
-        co_await ks->Put(MakeFixedKey(i), "v" + std::to_string(i)));
+    std::string value = "v";
+    value += std::to_string(i);  // not "v" + ...: GCC 12 -Wrestrict
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), value));
   }
   KVCSD_CO_ASSERT_OK(co_await ks->Sync());
 }
@@ -88,8 +89,8 @@ sim::Task<void> RecoverAndRead(Device* dev, client::Client* db,
   KVCSD_CO_ASSERT(stat->num_kvs >= count);
 }
 
-bool LogContains(const sim::Log& log, const std::string& needle) {
-  for (const auto& e : log.entries()) {
+bool LogContains(const sim::FlightRecorder& log, const std::string& needle) {
+  for (const auto& e : log.Entries()) {
     if (e.message.find(needle) != std::string::npos) return true;
   }
   return false;
@@ -99,8 +100,8 @@ TEST(ObservabilityTest, LogRingSurvivesDeviceRestart) {
   Fixture f;
   testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "obs", 100));
 
-  f.sim.log().Info("test", "pre-crash marker");
-  const std::uint64_t written_before = f.sim.log().total_written();
+  f.sim.flight().Info("test", "pre-crash marker");
+  const std::uint64_t written_before = f.sim.flight().total_written();
   f.faults.Crash();
   f.Restart();
   testutil::RunSim(f.sim,
@@ -108,10 +109,10 @@ TEST(ObservabilityTest, LogRingSurvivesDeviceRestart) {
 
   // The ring lives on the Simulation, not the Device: the pre-crash
   // breadcrumb is still there, and recovery appended after it.
-  EXPECT_TRUE(LogContains(f.sim.log(), "pre-crash marker"));
-  EXPECT_GT(f.sim.log().total_written(), written_before);
+  EXPECT_TRUE(LogContains(f.sim.flight(), "pre-crash marker"));
+  EXPECT_GT(f.sim.flight().total_written(), written_before);
   bool recovery_logged = false;
-  for (const auto& e : f.sim.log().entries()) {
+  for (const auto& e : f.sim.flight().Entries()) {
     if (e.component == "recovery") recovery_logged = true;
   }
   EXPECT_TRUE(recovery_logged);
