@@ -145,6 +145,9 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
   // Every flight-recorder dump so far. The ring is the simulation's, so
   // each shard of a fleet reports the same fleet-wide count.
   out->emplace_back(p + "device.flight.trips", sim_->flight().trips());
+  // Failed background compactions and folds (ReportBackgroundFailure).
+  out->emplace_back(p + "device.background.failures",
+                    stats().counter_value("device.background.failures"));
 }
 
 // ---------------------------------------------------------------------------
@@ -247,6 +250,20 @@ sim::Event* Device::ReadersIdle(std::uint64_t keyspace_id) {
   auto& event = readers_idle_[keyspace_id];
   if (!event) event = std::make_unique<sim::Event>(sim_);
   return event.get();
+}
+
+sim::Event* Device::CommitGate(std::uint64_t keyspace_id) {
+  auto& gate = commit_gates_[keyspace_id];
+  if (!gate) {
+    gate = std::make_unique<sim::Event>(sim_);
+    gate->Set();  // open until a fold commits
+  }
+  return gate.get();
+}
+
+bool Device::CommitGateClosed(std::uint64_t keyspace_id) const {
+  auto it = commit_gates_.find(keyspace_id);
+  return it != commit_gates_.end() && !it->second->is_set();
 }
 
 sim::Task<void> Device::MainLoop() {
@@ -597,6 +614,11 @@ Status Device::CheckMutable(Keyspace* ks) const {
     case KeyspaceState::kWritable:
     case KeyspaceState::kCompacted:  // delta mode: mutations land in a
                                      // fresh KLOG/VLOG log beside the run
+      if (CommitGateClosed(ks->id)) {
+        // A fold is persisting its commit (the state already reads
+        // COMPACTED); a write now could be rolled back with it.
+        return Status::Busy("keyspace is committing a fold; retry");
+      }
       return Status::Ok();
     case KeyspaceState::kCompacting:
     case KeyspaceState::kRecompacting:
@@ -938,10 +960,12 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
 // data guaranteed to survive a power cut.
 sim::Task<Status> Device::DoSync(Keyspace* ks) {
   if (ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting) {
+      ks->state == KeyspaceState::kRecompacting ||
+      CommitGateClosed(ks->id)) {
     // The compactor owns the logs and drained every flush before taking
     // over; mutations have been rejected (kBusy) since, so there is
-    // nothing buffered to persist.
+    // nothing buffered to persist — and a snapshot taken while a fold
+    // commits would capture state its rollback may still undo.
     co_return Status::Ok();
   }
   sim::Semaphore* lock = WriteLock(ks->id);
@@ -996,6 +1020,7 @@ void Device::ReportBackgroundFailure(std::string_view job, const Keyspace& ks,
   message += ks.name;
   message += "' failed: ";
   message += s.ToString();
+  stats().counter("device.background.failures").Increment();
   sim_->flight().Error(trk_device_, message);
   if (faults_ == nullptr || !faults_->crashed()) {
     sim_->flight().Dump("background_error");
@@ -1041,6 +1066,7 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   buffers_.erase(id);
   write_locks_.erase(id);
   compaction_done_.erase(id);
+  commit_gates_.erase(id);
   flush_slots_.erase(id);
   flush_inflight_.erase(id);
   flush_errors_.erase(id);

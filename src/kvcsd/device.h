@@ -350,7 +350,9 @@ class Device {
   // blocks stay in place, their old clusters retained), appends the delta
   // values to fresh SORTED_VALUES clusters, adds new keys to the bloom
   // filter in place, and commits by persisting the merged table —
-  // DESIGN.md §12. Failure-handling shell mirroring CompactKeyspace.
+  // DESIGN.md §12. Queries keep reading the pre-fold state throughout,
+  // held only at the short commit gate. Failure-handling shell mirroring
+  // CompactKeyspace.
   sim::Task<Status> RecompactKeyspace(Keyspace* ks,
                                       std::uint64_t trigger_cmd_id = 0);
   sim::Task<Status> RunRecompaction(Keyspace* ks,
@@ -359,9 +361,13 @@ class Device {
   // power since the PUT, otherwise gathered from the VLOG delta).
   sim::Task<Result<std::string>> LoadDeltaValue(
       const DeltaEntry& entry, sim::Activity act = sim::Activity::kHostRead);
-  // Queries arriving while a re-compaction owns the keyspace wait here
-  // (the commit swaps clusters under the reader otherwise).
+  // Admits a query: a COMPACTED or RECOMPACTING keyspace is queryable (a
+  // fold leaves the pre-fold structures untouched until its commit), and
+  // a query only waits while a fold's commit gate is closed. Each wait is
+  // recorded in "device.recompact.gate_ns".
   sim::Task<Status> AwaitQueryable(Keyspace* ks);
+  // Packs a fold's rebuilt index blocks into batched appends (recompact.cc).
+  class FoldBlockWriter;
 
   // --- explicit persistence ---
   sim::Task<Status> DoSync(Keyspace* ks);
@@ -400,20 +406,53 @@ class Device {
       std::uint64_t keyspace_id, const SketchEntry& entry,
       sim::Activity act = sim::Activity::kHostRead);
 
-  // One-slot pipeline stage for range scans: the next sketch block's read
-  // is issued while the current block is still in flight or being parsed.
-  // The owning scan MUST await `done` on every outstanding slot before
-  // returning (the prefetch coroutine writes through the slot pointer).
-  struct IndexPrefetch {
-    bool active = false;
-    std::size_t pos = 0;
-    Result<std::string> block{Status::Aborted("prefetch pending")};
-    std::unique_ptr<sim::Event> done;
+  // Reads a list of index blocks in list order with up to `window` reads
+  // in flight: while Next() hands back block i, blocks i+1 ..
+  // i+window-1 are already being read. The one way the device reads a
+  // run of index blocks — range scans (window 2 with index_prefetch, else
+  // 1) and a fold's dirty-PIDX and SIDX streams (gather_fanout). A
+  // streaming window, never a read-everything-first buffer. The owner
+  // MUST co_await Drain() before the stream dies: detached reads write
+  // into its slots.
+  class IndexBlockStream {
+   public:
+    IndexBlockStream(Device* device, std::uint64_t keyspace_id,
+                     std::vector<const SketchEntry*> blocks,
+                     std::uint32_t window, sim::Activity act);
+    IndexBlockStream(const IndexBlockStream&) = delete;
+    IndexBlockStream& operator=(const IndexBlockStream&) = delete;
+
+    bool done() const { return next_ >= blocks_.size(); }
+    // The next block in list order (call only while !done()).
+    sim::Task<Result<std::string>> Next();
+    // Awaits every read still in flight; returns how many were never
+    // handed out (a scan cut short).
+    sim::Task<std::uint64_t> Drain();
+    // Reads issued ahead of the block being awaited.
+    std::uint64_t issued_ahead() const { return issued_ahead_; }
+
+   private:
+    struct Slot {
+      bool active = false;
+      Result<std::string> block{Status::Aborted("read pending")};
+      std::unique_ptr<sim::Event> done;
+    };
+    static sim::Task<void> Read(Device* device, std::uint64_t keyspace_id,
+                                SketchEntry entry, sim::Activity act,
+                                Slot* slot);
+
+    Device* device_;
+    std::uint64_t keyspace_id_;
+    std::vector<const SketchEntry*> blocks_;
+    sim::Activity act_;
+    std::vector<Slot> slots_;  // block i reads into slots_[i % window]
+    std::size_t next_ = 0;     // next block Next() hands out
+    std::size_t issued_ = 0;   // blocks whose read has been issued
+    std::uint64_t issued_ahead_ = 0;
   };
-  sim::Task<void> PrefetchIndexBlock(std::uint64_t keyspace_id,
-                                     SketchEntry entry, IndexPrefetch* slot,
-                                     sim::Activity act =
-                                         sim::Activity::kHostRead);
+  // Drains a range scan's stream and adds its read-ahead to the
+  // "device.prefetch.issued" / "device.prefetch.wasted" counters.
+  sim::Task<void> DrainScan(IndexBlockStream* blocks);
 
   // Gathers values for (addr, len) requests: identical refs are deduped,
   // address-adjacent reads are coalesced into ranges, and the range reads
@@ -444,7 +483,8 @@ class Device {
   // --- background failures, which no command answers for ---
   // A warn breadcrumb in the flight recorder when `s` is not Ok.
   void WarnDiscarded(std::string_view what, const Status& s);
-  // A failed compaction or fold (`job`): an error breadcrumb naming the
+  // A failed compaction or fold (`job`): counts "device.background.failures"
+  // (also a health-page gauge), leaves an error breadcrumb naming the
   // keyspace and status, and a "background_error" dump unless the power
   // is already cut (the crash dump covers that).
   void ReportBackgroundFailure(std::string_view job, const Keyspace& ks,
@@ -465,6 +505,12 @@ class Device {
   // Set when the keyspace's active_readers count drops to zero; the
   // re-compaction commit waits on it (recompact.cc).
   sim::Event* ReadersIdle(std::uint64_t keyspace_id);
+  // Open (set) except while a fold commits: the fold closes it, drains
+  // active_readers, installs and persists the folded state (or rolls it
+  // back), then reopens it. Queries wait on it in AwaitQueryable, and
+  // CheckMutable refuses writes (kBusy) while it is closed.
+  sim::Event* CommitGate(std::uint64_t keyspace_id);
+  bool CommitGateClosed(std::uint64_t keyspace_id) const;
 
   // Applies config.stats_prefix transitively (zns.stats_prefix) before
   // the members below are constructed from config_.
@@ -497,6 +543,7 @@ class Device {
   std::map<std::uint64_t, std::unique_ptr<sim::Semaphore>> write_locks_;
   std::map<std::uint64_t, std::unique_ptr<sim::Event>> compaction_done_;
   std::map<std::uint64_t, std::unique_ptr<sim::Event>> readers_idle_;
+  std::map<std::uint64_t, std::unique_ptr<sim::Event>> commit_gates_;
   // Flush pipelining: a bounded number of log flushes per keyspace may be
   // in flight; compaction drains them via the wait group.
   static constexpr std::uint64_t kMaxInflightFlushes = 4;

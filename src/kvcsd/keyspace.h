@@ -2,9 +2,10 @@
 //
 // A keyspace is a named container of key-value pairs with the lifecycle
 //   EMPTY -> WRITABLE -> COMPACTING -> COMPACTED <-> RECOMPACTING
-// Only COMPACTED keyspaces are queryable; secondary indexes attach only in
-// the COMPACTED state. The keyspace table also stores the per-block pivot
-// "sketches" that primary and secondary queries start from.
+// Only COMPACTED (and RECOMPACTING) keyspaces are queryable; secondary
+// indexes attach only in the COMPACTED state. The keyspace table also
+// stores the per-block pivot "sketches" that primary and secondary
+// queries start from.
 //
 // A COMPACTED keyspace stays mutable (DESIGN.md §12): PUT/DELETE traffic
 // lands in a fresh KLOG/VLOG *delta log* (reusing the klog/vlog chains,
@@ -30,8 +31,8 @@ enum class KeyspaceState : std::uint8_t {
   kCompacting,
   kCompacted,
   // Incremental re-compaction in progress: the sorted run and the delta
-  // are both intact (queries wait for the fold to finish); a crash rolls
-  // straight back to kCompacted.
+  // are both intact and unchanged until the commit, so queries keep
+  // reading them; a crash rolls straight back to kCompacted.
   kRecompacting,
 };
 
@@ -136,10 +137,11 @@ struct Keyspace {
   // cannot free it mid-await; DropKeyspace defers until this drains.
   std::uint32_t inflight = 0;
 
-  // Queries that passed AwaitQueryable and are reading the COMPACTED
-  // structures right now. A re-compaction commit waits for this to drain
-  // (new readers block in AwaitQueryable once the state flips), so the
-  // cluster swap can never happen under an in-flight scan. Not persisted.
+  // Queries that passed AwaitQueryable and are reading the run, delta
+  // and sketches right now — during a fold, the pre-fold ones. A fold's
+  // commit closes the keyspace's commit gate (new readers then wait in
+  // AwaitQueryable) and waits for this to drain, so the cluster swap can
+  // never happen under an in-flight scan. Not persisted.
   std::uint32_t active_readers = 0;
 
   // Outcome of the most recent background compaction or fold, set before

@@ -12,7 +12,7 @@
 //   - QueryPoint consults the keyspace's compaction-built bloom filter so
 //     negative lookups usually skip flash entirely.
 //   - Range scans keep the next sketch block's read in flight while the
-//     current one is parsed (one-slot-ahead pipeline).
+//     current one is parsed (an IndexBlockStream with a window of two).
 //   - GatherValues dedupes identical refs, coalesces address-adjacent
 //     reads, and fans the coalesced ranges out across NAND channels.
 //
@@ -20,10 +20,12 @@
 // of post-compaction mutations. Point lookups consult it first (it is
 // strictly newer than the run); range and secondary scans two-way merge
 // the sorted run with the key-ordered delta under last-writer-wins, with
-// tombstones suppressing run entries. While an incremental re-compaction
-// folds the delta back in, queries wait in AwaitQueryable and in-flight
-// scans hold a reader count the fold's commit drains before swapping the
-// on-flash structures.
+// tombstones suppressing run entries. An incremental re-compaction (fold)
+// writes only fresh clusters and refuses writes until its commit, so the
+// pre-fold run and delta stay fixed and queries keep reading them while
+// it runs. Queries wait in AwaitQueryable only while the fold's commit
+// gate is closed; every admitted query holds a reader count, which the
+// commit drains before it swaps the on-flash structures.
 #include <algorithm>
 
 #include "common/bloom.h"
@@ -83,6 +85,20 @@ std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
   return static_cast<std::size_t>(it - sketch.begin());
 }
 
+// The sketch blocks a range scan over [lo, hi] reads, in order: from the
+// first block that can hold keys >= lo up to the last whose pivot <= hi.
+std::vector<const SketchEntry*> ScanBlocks(
+    const std::vector<SketchEntry>& sketch, const std::string& lo,
+    const std::string& hi) {
+  std::vector<const SketchEntry*> blocks;
+  if (sketch.empty()) return blocks;
+  for (std::size_t pos = SketchRangeStart(sketch, lo);
+       pos < sketch.size() && !(sketch[pos].pivot > hi); ++pos) {
+    blocks.push_back(&sketch[pos]);
+  }
+  return blocks;
+}
+
 }  // namespace
 
 sim::Task<Result<std::string>> Device::ReadIndexBlock(
@@ -108,12 +124,70 @@ sim::Task<Result<std::string>> Device::ReadIndexBlock(
   co_return block;
 }
 
-sim::Task<void> Device::PrefetchIndexBlock(std::uint64_t keyspace_id,
-                                           SketchEntry entry,
-                                           IndexPrefetch* slot,
-                                           sim::Activity act) {
-  slot->block = co_await ReadIndexBlock(keyspace_id, entry, act);
+Device::IndexBlockStream::IndexBlockStream(
+    Device* device, std::uint64_t keyspace_id,
+    std::vector<const SketchEntry*> blocks, std::uint32_t window,
+    sim::Activity act)
+    : device_(device),
+      keyspace_id_(keyspace_id),
+      blocks_(std::move(blocks)),
+      act_(act),
+      slots_(std::max<std::uint32_t>(window, 1)) {
+  for (Slot& slot : slots_) {
+    slot.done = std::make_unique<sim::Event>(device_->sim_);
+  }
+}
+
+sim::Task<void> Device::IndexBlockStream::Read(Device* device,
+                                               std::uint64_t keyspace_id,
+                                               SketchEntry entry,
+                                               sim::Activity act, Slot* slot) {
+  slot->block = co_await device->ReadIndexBlock(keyspace_id, entry, act);
   slot->done->Set();
+}
+
+sim::Task<Result<std::string>> Device::IndexBlockStream::Next() {
+  const std::size_t window = slots_.size();
+  if (window == 1) {
+    // Nothing to overlap: read inline.
+    co_return co_await device_->ReadIndexBlock(keyspace_id_,
+                                               *blocks_[next_++], act_);
+  }
+  // Top the window up: block issued_ reuses the slot of block
+  // issued_ - window, which the caller has already consumed.
+  while (issued_ < blocks_.size() && issued_ < next_ + window) {
+    Slot& slot = slots_[issued_ % window];
+    slot.active = true;
+    slot.done->Reset();
+    if (issued_ > next_) ++issued_ahead_;
+    device_->sim_->Spawn(
+        Read(device_, keyspace_id_, *blocks_[issued_], act_, &slot));
+    ++issued_;
+  }
+  Slot& slot = slots_[next_ % window];
+  ++next_;
+  co_await slot.done->Wait();
+  slot.active = false;
+  co_return std::move(slot.block);
+}
+
+sim::Task<std::uint64_t> Device::IndexBlockStream::Drain() {
+  std::uint64_t unconsumed = 0;
+  for (Slot& slot : slots_) {
+    if (!slot.active) continue;
+    co_await slot.done->Wait();
+    slot.active = false;
+    ++unconsumed;
+  }
+  co_return unconsumed;
+}
+
+sim::Task<void> Device::DrainScan(IndexBlockStream* blocks) {
+  const std::uint64_t wasted = co_await blocks->Drain();
+  if (blocks->issued_ahead() > 0) {
+    stats().counter("device.prefetch.issued").Add(blocks->issued_ahead());
+  }
+  if (wasted > 0) stats().counter("device.prefetch.wasted").Add(wasted);
 }
 
 sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
@@ -212,13 +286,20 @@ sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
 }
 
 sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
-  // A re-compaction is transparent to readers: wait it out rather than
-  // failing. Any other non-COMPACTED state is a caller error, same as
-  // before keyspaces were mutable.
-  while (ks->state == KeyspaceState::kRecompacting) {
-    co_await CompactionDone(ks->id)->Wait();
+  // A fold is transparent to readers: they read the pre-fold state while
+  // it runs and wait only while its commit gate is closed. Any other
+  // non-COMPACTED state is a caller error, same as before keyspaces were
+  // mutable.
+  sim::Event* gate = CommitGate(ks->id);
+  if (!gate->is_set()) {
+    const Tick held = sim_->Now();
+    do {
+      co_await gate->Wait();
+    } while (!gate->is_set());
+    stats().histogram("device.recompact.gate_ns").Record(sim_->Now() - held);
   }
-  if (ks->state != KeyspaceState::kCompacted) {
+  if (ks->state != KeyspaceState::kCompacted &&
+      ks->state != KeyspaceState::kRecompacting) {
     co_return Status::FailedPrecondition(
         "keyspace is not queryable (state " +
         std::string(KeyspaceStateName(ks->state)) + ")");
@@ -316,52 +397,18 @@ sim::Task<Status> Device::QueryPrimaryRange(
     if (limit != 0 && it->second.tombstone) ++scan_limit;
   }
 
-  const std::vector<SketchEntry>& sketch = ks->pidx_sketch;
-  std::size_t pos = sketch.empty() ? 0 : SketchRangeStart(sketch, lo);
-
-  // Two alternating prefetch slots keep block pos+1's flash read in
-  // flight while block pos is awaited and parsed; the pivot guard below
-  // never fetches past `hi`, so at most one read (a mid-block limit cut)
-  // is ever wasted. All error exits fall through the drain below — the
-  // slots live in this frame and a detached prefetch must not outlive it.
-  IndexPrefetch slots[2];
-  auto issue = [&](std::size_t p) {
-    IndexPrefetch& s = slots[p % 2];
-    s.active = true;
-    s.pos = p;
-    if (!s.done) {
-      s.done = std::make_unique<sim::Event>(sim_);
-    } else {
-      s.done->Reset();
-    }
-    sim_->Spawn(PrefetchIndexBlock(ks->id, sketch[p], &s, act));
-  };
-
+  // Block pos+1's read stays in flight while block pos is parsed; the
+  // stream never reads past `hi`, so at most one read (a mid-block limit
+  // cut) is wasted. Every error exit breaks to the drain below, since
+  // detached reads write into the stream.
+  IndexBlockStream blocks(this, ks->id, ScanBlocks(ks->pidx_sketch, lo, hi),
+                         config_.index_prefetch ? 2 : 1, act);
   Status scan_status = Status::Ok();
   std::vector<std::pair<std::string, ValueRef>> matches;
   std::string prev_key;
   bool have_prev = false;
-  for (; pos < sketch.size(); ++pos) {
-    if (sketch[pos].pivot > hi) break;
-    Result<std::string> block = Status::Aborted("unread");
-    if (config_.index_prefetch) {
-      IndexPrefetch& cur = slots[pos % 2];
-      if (cur.active && cur.pos != pos) {  // stale slot: drain before reuse
-        co_await cur.done->Wait();
-        cur.active = false;
-      }
-      if (!cur.active) issue(pos);
-      if (pos + 1 < sketch.size() && !(sketch[pos + 1].pivot > hi) &&
-          !slots[(pos + 1) % 2].active) {
-        stats().counter("device.prefetch.issued").Increment();
-        issue(pos + 1);
-      }
-      co_await cur.done->Wait();
-      cur.active = false;
-      block = std::move(cur.block);
-    } else {
-      block = co_await ReadIndexBlock(ks->id, sketch[pos], act);
-    }
+  while (!blocks.done()) {
+    Result<std::string> block = co_await blocks.Next();
     if (!block.ok()) {
       scan_status = block.status();
       break;
@@ -402,13 +449,7 @@ sim::Task<Status> Device::QueryPrimaryRange(
     }
     if (!scan_status.ok() || past_hi) break;
   }
-  for (IndexPrefetch& s : slots) {
-    if (s.active) {
-      co_await s.done->Wait();
-      s.active = false;
-      stats().counter("device.prefetch.wasted").Increment();
-    }
-  }
+  co_await DrainScan(&blocks);
   KVCSD_CO_RETURN_IF_ERROR(scan_status);
 
   // Two-way merge with the delta snapshot: the delta wins ties (strictly
@@ -523,22 +564,8 @@ sim::Task<Status> Device::QuerySecondaryRange(
               return a.pkey < b.pkey;
             });
 
-  const std::vector<SketchEntry>& sketch = sidx.sketch;
-  std::size_t pos = sketch.empty() ? 0 : SketchRangeStart(sketch, lo);
-
-  IndexPrefetch slots[2];
-  auto issue = [&](std::size_t p) {
-    IndexPrefetch& s = slots[p % 2];
-    s.active = true;
-    s.pos = p;
-    if (!s.done) {
-      s.done = std::make_unique<sim::Event>(sim_);
-    } else {
-      s.done->Reset();
-    }
-    sim_->Spawn(PrefetchIndexBlock(ks->id, sketch[p], &s, act));
-  };
-
+  IndexBlockStream blocks(this, ks->id, ScanBlocks(sidx.sketch, lo, hi),
+                         config_.index_prefetch ? 2 : 1, act);
   Status scan_status = Status::Ok();
   struct RunTuple {
     std::string skey;
@@ -556,27 +583,8 @@ sim::Task<Status> Device::QuerySecondaryRange(
   std::string prev_skey;
   std::string prev_pkey;
   bool have_prev = false;
-  for (; pos < sketch.size(); ++pos) {
-    if (sketch[pos].pivot > hi) break;
-    Result<std::string> block = Status::Aborted("unread");
-    if (config_.index_prefetch) {
-      IndexPrefetch& cur = slots[pos % 2];
-      if (cur.active && cur.pos != pos) {  // stale slot: drain before reuse
-        co_await cur.done->Wait();
-        cur.active = false;
-      }
-      if (!cur.active) issue(pos);
-      if (pos + 1 < sketch.size() && !(sketch[pos + 1].pivot > hi) &&
-          !slots[(pos + 1) % 2].active) {
-        stats().counter("device.prefetch.issued").Increment();
-        issue(pos + 1);
-      }
-      co_await cur.done->Wait();
-      cur.active = false;
-      block = std::move(cur.block);
-    } else {
-      block = co_await ReadIndexBlock(ks->id, sketch[pos], act);
-    }
+  while (!blocks.done()) {
+    Result<std::string> block = co_await blocks.Next();
     if (!block.ok()) {
       scan_status = block.status();
       break;
@@ -621,13 +629,7 @@ sim::Task<Status> Device::QuerySecondaryRange(
     }
     if (!scan_status.ok() || past_hi) break;
   }
-  for (IndexPrefetch& s : slots) {
-    if (s.active) {
-      co_await s.done->Wait();
-      s.active = false;
-      stats().counter("device.prefetch.wasted").Increment();
-    }
-  }
+  co_await DrainScan(&blocks);
   KVCSD_CO_RETURN_IF_ERROR(scan_status);
 
   // Merge run survivors with the fresh delta tuples by (skey, pkey) — the

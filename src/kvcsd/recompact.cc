@@ -24,13 +24,25 @@
 //    (BloomFilterAddKey). Deleted keys leave their bits set: that only
 //    ever costs false positives, never false negatives.
 //
+// Fold I/O: the dirty blocks (PIDX) and every block (SIDX) are read
+// through an IndexBlockStream, gather_fanout reads in flight, and rebuilt
+// blocks go out through a FoldBlockWriter in output_batch_bytes appends
+// whose sketch addresses are patched as each append lands. Batching moves
+// no block boundary: each rebuilt group still starts a fresh block.
+//
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED, delta intact,
-// new clusters reclaimed as unreferenced); the fold then builds the mixed
-// old + new sketch and commits it with one table persist. Past that point
-// the delta logs and any old index cluster no retained block references
-// are released. A crash anywhere leaves either the old state (delta still
-// pending) or the new state (delta folded) — never a blend.
+// new clusters reclaimed as unreferenced). Until the commit the fold
+// writes only fresh clusters and writes are refused (kBusy), so the
+// pre-fold run, delta and sketches stay fixed and queries keep reading
+// them. The commit closes the keyspace's commit gate (new queries and
+// writes wait or bounce), drains the in-flight readers, installs the
+// mixed old + new sketch and persists it with one table persist, then
+// reopens the gate — only after the persist, or its rollback, returned,
+// so no reader ever sees a state that may still be rolled back. Past
+// that point the delta logs and any old index cluster no retained block
+// references are released. A crash anywhere leaves either the old state
+// (delta still pending) or the new state (delta folded) — never a blend.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -90,7 +102,117 @@ struct PidxRec {
   std::uint32_t vlen = 0;
 };
 
+// Appends the entries of one PIDX block to `out`, adding their merge
+// bytes to `*fold_bytes`.
+Status ParsePidxBlock(const std::string& block, std::vector<PidxRec>* out,
+                      std::uint64_t* fold_bytes) {
+  std::uint16_t count = 0;
+  Slice in;
+  if (!wire::OpenIndexBlock(block, &count, &in)) {
+    return Status::Corruption("undersized PIDX block in fold");
+  }
+  out->reserve(out->size() + count);
+  for (std::uint16_t i = 0; i < count; ++i) {
+    wire::PidxEntry entry;
+    if (!wire::ParsePidxEntry(&in, &entry)) {
+      return Status::Corruption("bad PIDX block in fold");
+    }
+    out->push_back(PidxRec{entry.key.ToString(), entry.vaddr, entry.vlen});
+    *fold_bytes += entry.key.size() + 12;
+  }
+  return Status::Ok();
+}
+
+bool SidxLess(const SidxTuple& a, const SidxTuple& b) {
+  if (a.skey != b.skey) return a.skey < b.skey;
+  return a.pkey < b.pkey;
+}
+
+std::vector<const SketchEntry*> Pointers(
+    const std::vector<SketchEntry>& sketch) {
+  std::vector<const SketchEntry*> out;
+  out.reserve(sketch.size());
+  for (const SketchEntry& e : sketch) out.push_back(&e);
+  return out;
+}
+
 }  // namespace
+
+// The fold's output side for one index chain: packs entries into index
+// blocks, batches closed blocks into output_batch_bytes appends, and
+// pushes each block's sketch entry as the block opens — its address is
+// patched once the append holding it lands, so retained sketch entries
+// can be pushed in between. Callers close the open block at the end of
+// every rebuilt group (a group never shares a block with its neighbour)
+// and Flush() whenever batch_full(), then once at the end.
+class Device::FoldBlockWriter {
+ public:
+  FoldBlockWriter(Device* device, std::vector<ClusterId>* chain, ZoneType type,
+                  std::vector<SketchEntry>* sketch)
+      : device_(device),
+        chain_(chain),
+        type_(type),
+        sketch_(sketch),
+        block_size_(device->config_.index_block_size) {
+    wire::BeginIndexBlock(&block_);
+    batch_.reserve(device->config_.output_batch_bytes);
+  }
+
+  // The open block, with room for one more entry of `entry_size` bytes
+  // (the caller serializes it there): the current block is closed first
+  // when the entry does not fit, and `pivot` names a freshly opened one.
+  std::string* Entry(std::size_t entry_size, const std::string& pivot) {
+    if (block_.size() + entry_size > block_size_) CloseBlock();
+    if (count_ == 0) {
+      open_slot_ = sketch_->size();
+      sketch_->push_back(SketchEntry{pivot, 0, block_size_});
+    }
+    ++count_;
+    return &block_;
+  }
+
+  void CloseBlock() {
+    if (count_ == 0) return;
+    wire::FinishIndexBlock(&block_, count_, block_size_);
+    batch_ += block_;
+    batch_slots_.push_back(open_slot_);
+    wire::BeginIndexBlock(&block_);
+    count_ = 0;
+  }
+
+  bool batch_full() const {
+    return batch_.size() >= device_->config_.output_batch_bytes;
+  }
+
+  // Appends the closed blocks as one write and patches their addresses.
+  sim::Task<Status> Flush() {
+    if (batch_.empty()) co_return Status::Ok();
+    co_await device_->cpu_.Compute(device_->config_.costs.io_path_overhead,
+                                   sim::Activity::kRecompact);
+    auto addr = co_await device_->AppendToChain(
+        chain_, type_, AsBytes(batch_), sim::Activity::kRecompact);
+    if (!addr.ok()) co_return addr.status();
+    device_->compaction_stats_.bytes_written += batch_.size();
+    for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
+      (*sketch_)[batch_slots_[i]].block_addr = *addr + i * block_size_;
+    }
+    batch_.clear();
+    batch_slots_.clear();
+    co_return Status::Ok();
+  }
+
+ private:
+  Device* device_;
+  std::vector<ClusterId>* chain_;
+  ZoneType type_;
+  std::vector<SketchEntry>* sketch_;
+  const std::uint32_t block_size_;
+  std::string block_;
+  std::uint16_t count_ = 0;
+  std::size_t open_slot_ = 0;  // sketch index of the open block
+  std::string batch_;          // closed blocks awaiting their append
+  std::vector<std::size_t> batch_slots_;
+};
 
 sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
                                                       sim::Activity act) {
@@ -266,60 +388,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::int64_t run_entries_delta = 0;
   std::uint64_t pidx_retained = 0;
   std::uint64_t pidx_rebuilt = 0;
-
-  // Packs records into 4 KB blocks and appends them to `chain`, pushing
-  // one sketch entry per block onto `sketch_out`.
-  auto pack_blocks = [&](const std::vector<PidxRec>& recs,
-                         std::vector<ClusterId>* chain,
-                         std::vector<SketchEntry>* sketch_out)
-      -> sim::Task<Status> {
-    std::string block;
-    wire::BeginIndexBlock(&block);
-    std::uint16_t count = 0;
-    std::string pivot;
-    std::vector<std::pair<std::string, std::string>> done;
-    auto close_block = [&]() {
-      if (count == 0) return;
-      wire::FinishIndexBlock(&block, count, config_.index_block_size);
-      done.emplace_back(std::move(pivot), std::move(block));
-      wire::BeginIndexBlock(&block);
-      count = 0;
-      pivot.clear();
-    };
-    auto flush_done = [&]() -> sim::Task<Status> {
-      if (done.empty()) co_return Status::Ok();
-      std::string blob;
-      blob.reserve(done.size() * config_.index_block_size);
-      for (const auto& [p, b] : done) blob += b;
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-      auto addr = co_await AppendToChain(chain, ZoneType::kPidx,
-                                         AsBytes(blob), sim::Activity::kRecompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += blob.size();
-      for (std::size_t i = 0; i < done.size(); ++i) {
-        sketch_out->push_back(SketchEntry{
-            std::move(done[i].first), *addr + i * config_.index_block_size,
-            config_.index_block_size});
-      }
-      done.clear();
-      co_return Status::Ok();
-    };
-    for (const PidxRec& rec : recs) {
-      if (block.size() + wire::PidxEntrySize(rec.key) >
-          config_.index_block_size) {
-        close_block();
-        if (done.size() * config_.index_block_size >=
-            config_.output_batch_bytes) {
-          KVCSD_CO_RETURN_IF_ERROR(co_await flush_done());
-        }
-      }
-      if (count == 0) pivot = rec.key;
-      wire::AppendPidxEntry(&block, rec.key, rec.vaddr, rec.vlen);
-      ++count;
-    }
-    close_block();
-    co_return co_await flush_done();
-  };
+  FoldBlockWriter pidx_out(this, &new_pidx_clusters, ZoneType::kPidx,
+                           &new_sketch);
 
   // Two-pointer LWW merge of one dirty block with its delta keys.
   auto merge_block = [&](const std::vector<PidxRec>& old_recs,
@@ -346,8 +416,32 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       ++j;
     }
   };
+  // Packs one rebuilt group; it ends with its own block.
+  auto pack = [&](const std::vector<PidxRec>& recs) -> sim::Task<Status> {
+    for (const PidxRec& rec : recs) {
+      wire::AppendPidxEntry(
+          pidx_out.Entry(wire::PidxEntrySize(rec.key), rec.key), rec.key,
+          rec.vaddr, rec.vlen);
+      if (pidx_out.batch_full()) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await pidx_out.Flush());
+      }
+    }
+    pidx_out.CloseBlock();
+    co_return Status::Ok();
+  };
 
+  // Stream the dirty blocks (retained ones are never read) with
+  // gather_fanout reads in flight; appends overlap the reads ahead.
+  std::vector<const SketchEntry*> dirty_list;
+  for (std::size_t pos = 0; pos < old_sketch.size(); ++pos) {
+    if (!per_block[pos].empty()) dirty_list.push_back(&old_sketch[pos]);
+  }
+  const std::uint32_t fanout =
+      std::max<std::uint32_t>(config_.gather_fanout, 1);
+  IndexBlockStream dirty_blocks(this, ks->id, std::move(dirty_list), fanout,
+                                sim::Activity::kRecompact);
   std::uint64_t fold_bytes = 0;
+  Status pidx_status = Status::Ok();
   for (std::size_t pos = 0; pos < old_sketch.size(); ++pos) {
     if (per_block[pos].empty()) {
       new_sketch.push_back(old_sketch[pos]);  // retained by reference
@@ -355,39 +449,31 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       continue;
     }
     ++pidx_rebuilt;
-    auto block = co_await ReadIndexBlock(ks->id, old_sketch[pos], sim::Activity::kRecompact);
-    if (!block.ok()) co_return block.status();
+    auto block = co_await dirty_blocks.Next();
+    if (!block.ok()) {
+      pidx_status = block.status();
+      break;
+    }
     compaction_stats_.bytes_read += old_sketch[pos].block_len;
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      co_return Status::Corruption("undersized PIDX block in fold");
-    }
     std::vector<PidxRec> old_recs;
-    old_recs.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        co_return Status::Corruption("bad PIDX block in fold");
-      }
-      old_recs.push_back(
-          PidxRec{entry.key.ToString(), entry.vaddr, entry.vlen});
-      fold_bytes += entry.key.size() + 12;
-    }
+    pidx_status = ParsePidxBlock(*block, &old_recs, &fold_bytes);
+    if (!pidx_status.ok()) break;
     std::vector<PidxRec> merged;
     merged.reserve(old_recs.size() + per_block[pos].size());
     merge_block(old_recs, per_block[pos], &merged);
-    KVCSD_CO_RETURN_IF_ERROR(
-        co_await pack_blocks(merged, &new_pidx_clusters, &new_sketch));
+    pidx_status = co_await pack(merged);
+    if (!pidx_status.ok()) break;
   }
+  co_await dirty_blocks.Drain();
+  KVCSD_CO_RETURN_IF_ERROR(pidx_status);
   if (!orphan_items.empty()) {
     // Empty run: the delta becomes the run.
     std::vector<PidxRec> merged;
     merge_block({}, orphan_items, &merged);
-    KVCSD_CO_RETURN_IF_ERROR(
-        co_await pack_blocks(merged, &new_pidx_clusters, &new_sketch));
+    KVCSD_CO_RETURN_IF_ERROR(co_await pack(merged));
     ++pidx_rebuilt;
   }
+  KVCSD_CO_RETURN_IF_ERROR(co_await pidx_out.Flush());
   if (fold_bytes > 0) {
     co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec, sim::Activity::kRecompact);
   }
@@ -414,6 +500,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   for (auto& [name, sidx] : ks->secondary_indexes) {
     SidxFold& fold = sidx_folds[name];
     const std::vector<SketchEntry>& sketch = sidx.sketch;
+    FoldBlockWriter sidx_out(this, &fold.new_clusters, ZoneType::kSidx,
+                             &fold.new_sketch);
 
     // New tuples from the live delta values, sorted by (skey, pkey).
     std::vector<SidxTuple> fresh;
@@ -425,11 +513,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
           std::move(*skey), item.key, item.new_addr,
           static_cast<std::uint32_t>(item.value.size())});
     }
-    std::sort(fresh.begin(), fresh.end(),
-              [](const SidxTuple& a, const SidxTuple& b) {
-                if (a.skey != b.skey) return a.skey < b.skey;
-                return a.pkey < b.pkey;
-              });
+    std::sort(fresh.begin(), fresh.end(), SidxLess);
 
     // Pre-mark the insertion span of each fresh tuple dirty. The span
     // [a, b] brackets every block that can hold tuples tied with the
@@ -467,7 +551,6 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     std::size_t region_start = 0;
     std::size_t fresh_cursor = 0;
     std::uint64_t removed = 0;
-    std::uint64_t kept = 0;
 
     auto emit_region = [&](std::size_t region_end) -> sim::Task<Status> {
       // Merge the region's survivors with the fresh tuples whose
@@ -486,70 +569,37 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                  std::make_move_iterator(region.end()),
                  std::make_move_iterator(incoming.begin()),
                  std::make_move_iterator(incoming.end()),
-                 std::back_inserter(merged),
-                 [](const SidxTuple& a, const SidxTuple& b) {
-                   if (a.skey != b.skey) return a.skey < b.skey;
-                   return a.pkey < b.pkey;
-                 });
+                 std::back_inserter(merged), SidxLess);
       region.clear();
-      // Pack into 4 KB blocks appended to the fold's fresh clusters.
-      std::string block;
-      wire::BeginIndexBlock(&block);
-      std::uint16_t count = 0;
-      std::string pivot;
-      std::vector<std::pair<std::string, std::string>> done;
-      auto close_block = [&]() {
-        if (count == 0) return;
-        wire::FinishIndexBlock(&block, count, config_.index_block_size);
-        done.emplace_back(std::move(pivot), std::move(block));
-        wire::BeginIndexBlock(&block);
-        count = 0;
-        pivot.clear();
-      };
-      auto flush_done = [&]() -> sim::Task<Status> {
-        if (done.empty()) co_return Status::Ok();
-        std::string blob;
-        blob.reserve(done.size() * config_.index_block_size);
-        for (const auto& [p, b] : done) blob += b;
-        co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-        auto addr = co_await AppendToChain(&fold.new_clusters,
-                                           ZoneType::kSidx, AsBytes(blob), sim::Activity::kRecompact);
-        if (!addr.ok()) co_return addr.status();
-        compaction_stats_.bytes_written += blob.size();
-        for (std::size_t i = 0; i < done.size(); ++i) {
-          fold.new_sketch.push_back(SketchEntry{
-              std::move(done[i].first),
-              *addr + i * config_.index_block_size,
-              config_.index_block_size});
+      for (const SidxTuple& t : merged) {
+        wire::AppendSidxEntry(
+            sidx_out.Entry(wire::SidxEntrySize(t.skey, t.pkey), t.skey),
+            t.skey, t.pkey, t.vaddr, t.vlen);
+        if (sidx_out.batch_full()) {
+          KVCSD_CO_RETURN_IF_ERROR(co_await sidx_out.Flush());
         }
-        done.clear();
-        co_return Status::Ok();
-      };
-      for (SidxTuple& t : merged) {
-        if (block.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-            config_.index_block_size) {
-          close_block();
-          if (done.size() * config_.index_block_size >=
-              config_.output_batch_bytes) {
-            KVCSD_CO_RETURN_IF_ERROR(co_await flush_done());
-          }
-        }
-        if (count == 0) pivot = t.skey;
-        wire::AppendSidxEntry(&block, t.skey, t.pkey, t.vaddr, t.vlen);
-        ++count;
       }
-      close_block();
-      co_return co_await flush_done();
+      sidx_out.CloseBlock();
+      co_return Status::Ok();
     };
 
+    // Every block is read (stale tuples hide anywhere), gather_fanout
+    // reads in flight; survivors of dirty blocks join the open region.
+    IndexBlockStream blocks(this, ks->id, Pointers(sketch), fanout,
+                            sim::Activity::kRecompact);
+    Status sidx_status = Status::Ok();
     for (std::size_t pos = 0; pos < sketch.size(); ++pos) {
-      auto block = co_await ReadIndexBlock(ks->id, sketch[pos], sim::Activity::kRecompact);
-      if (!block.ok()) co_return block.status();
+      auto block = co_await blocks.Next();
+      if (!block.ok()) {
+        sidx_status = block.status();
+        break;
+      }
       compaction_stats_.bytes_read += sketch[pos].block_len;
       std::uint16_t count = 0;
       Slice in;
       if (!wire::OpenIndexBlock(*block, &count, &in)) {
-        co_return Status::Corruption("undersized SIDX block in fold");
+        sidx_status = Status::Corruption("undersized SIDX block in fold");
+        break;
       }
       std::vector<SidxTuple> survivors;
       survivors.reserve(count);
@@ -557,7 +607,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       for (std::uint16_t i = 0; i < count; ++i) {
         wire::SidxEntry entry;
         if (!wire::ParseSidxEntry(&in, &entry)) {
-          co_return Status::Corruption("bad SIDX block in fold");
+          sidx_status = Status::Corruption("bad SIDX block in fold");
+          break;
         }
         if (delta_keys.contains(entry.pkey.ToString())) {
           lost_tuple = true;
@@ -568,27 +619,29 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                       entry.pkey.ToString(), entry.vaddr,
                                       entry.vlen});
       }
+      if (!sidx_status.ok()) break;
       if (dirty[pos] || lost_tuple) {
         // Dirty: survivors join the open region (opening one if needed).
         if (!region_open) {
           region_open = true;
           region_start = pos;
         }
-        kept += survivors.size();
         region.insert(region.end(),
                       std::make_move_iterator(survivors.begin()),
                       std::make_move_iterator(survivors.end()));
         ++fold.rebuilt;
       } else {
         if (region_open) {
-          KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(pos - 1));
+          sidx_status = co_await emit_region(pos - 1);
+          if (!sidx_status.ok()) break;
           region_open = false;
         }
-        kept += survivors.size();
         fold.new_sketch.push_back(sketch[pos]);  // retained by reference
         ++fold.retained;
       }
     }
+    co_await blocks.Drain();
+    KVCSD_CO_RETURN_IF_ERROR(sidx_status);
     if (region_open) {
       KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(
           sketch.empty() ? 0 : sketch.size() - 1));
@@ -602,6 +655,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
           co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1));
       ++fold.rebuilt;
     }
+    KVCSD_CO_RETURN_IF_ERROR(co_await sidx_out.Flush());
     fold.new_entries = sidx.entries - removed + fresh.size();
     scratch->insert(scratch->end(), fold.new_clusters.begin(),
                     fold.new_clusters.end());
@@ -625,9 +679,12 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   }
 
   // ---- Commit ----
-  // Drain in-flight readers first: new queries block in AwaitQueryable
-  // while the state is RECOMPACTING, and the commit below swaps clusters
-  // and sketches that a still-running scan may be dereferencing.
+  // Close the gate, then drain the readers still in flight: the install
+  // below swaps clusters and sketches a running scan may be
+  // dereferencing. Queries arriving from here wait in AwaitQueryable
+  // (and writes bounce kBusy) until the persist or its rollback is done.
+  sim::Event* gate = CommitGate(ks->id);
+  gate->Reset();
   while (ks->active_readers > 0) {
     sim::Event* idle = ReadersIdle(ks->id);
     idle->Reset();
@@ -636,6 +693,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   }
 
   if (CrashPoint("recompact.before_commit")) {
+    gate->Set();
     co_return Status::IoError("simulated power loss before recompact commit");
   }
 
@@ -741,6 +799,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       sidx.sketch = std::move(old_sidx[name].second);
     }
     ks->state = KeyspaceState::kRecompacting;  // wrapper rolls back
+    gate->Set();  // readers resume on the restored pre-fold state
     co_return commit;
   }
   ++compactions_done_;
@@ -748,6 +807,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // Retained blocks kept their addresses, but rebuilt and dead blocks
   // must never be served from DRAM again; drop the keyspace's cache.
   index_cache_.EraseKeyspace(ks->id);
+  gate->Set();
 
   stats().counter("device.recompact.done").Increment();
   stats().counter("device.recompact.delta_keys").Add(items.size());

@@ -88,7 +88,7 @@ void FaultInjector::AddErrorRule(ErrorRule rule) {
   rules_.push_back(ArmedRule{std::move(rule)});
 }
 
-Status FaultInjector::OnIo(FaultOp op, std::uint32_t zone) {
+Status FaultInjector::OnIo(FaultOp op, std::uint32_t zone, Tick* latency) {
   if (crashed_) {
     return Status::IoError("simulated power loss: device is off");
   }
@@ -111,6 +111,7 @@ Status FaultInjector::OnIo(FaultOp op, std::uint32_t zone) {
                                  " error on zone " + std::to_string(zone) +
                                  ": " + rule.message);
     }
+    if (latency != nullptr) *latency = rule.latency;
     return Status(rule.code, rule.message);
   }
   return Status::Ok();

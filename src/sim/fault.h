@@ -37,6 +37,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "common/units.h"
 
 namespace kvcsd::sim {
 
@@ -52,7 +53,9 @@ std::string_view FaultOpName(FaultOp op);
 
 // One error-injection rule. A rule fires on operations matching (op,
 // zone); `skip` matching operations pass through first, then each match
-// fails with `probability`, at most `times` times (0 = no limit).
+// fails with `probability`, at most `times` times (0 = no limit). A
+// failing operation reports its error `latency` ticks after it was
+// issued (0 = at once), like a program failure seen only at completion.
 struct ErrorRule {
   FaultOp op = FaultOp::kAppend;
   std::int64_t zone = -1;  // -1 matches any zone
@@ -61,6 +64,7 @@ struct ErrorRule {
   std::uint64_t times = 1;
   StatusCode code = StatusCode::kIoError;
   std::string message = "injected I/O error";
+  Tick latency = 0;
 };
 
 class FaultInjector {
@@ -108,8 +112,9 @@ class FaultInjector {
 
   void AddErrorRule(ErrorRule rule);
   // Consulted by ZnsSsd at the top of Append/Read/Reset. Returns the
-  // matching rule's status, a power-off error when crashed, or OK.
-  Status OnIo(FaultOp op, std::uint32_t zone);
+  // matching rule's status, a power-off error when crashed, or OK; on an
+  // injected error, *latency (if given) receives the rule's latency.
+  Status OnIo(FaultOp op, std::uint32_t zone, Tick* latency = nullptr);
   std::uint64_t errors_injected() const { return errors_injected_; }
 
   // --- torn tail ---

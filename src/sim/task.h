@@ -1,10 +1,18 @@
 // Lazy coroutine task types for the discrete-event simulation.
 //
 // A Task<T> is a coroutine that does not start until awaited. Awaiting it
-// transfers control into the child (symmetric transfer) and resumes the
-// parent when the child completes. The simulation is strictly
-// single-threaded: all concurrency is virtual, interleaved by the event
-// queue, so none of this needs atomics.
+// runs the child at once and resumes the parent the moment the child
+// completes, so control passes in exactly the order of plain calls. A
+// child that completes without suspending returns to its parent on the
+// same stack (await_suspend returns false); only a child that really
+// suspended resumes its parent by symmetric transfer at completion. That
+// keeps stack depth bounded by nesting, not by how many awaits a loop
+// makes: without it, a loop awaiting children that finish synchronously
+// (a merge popping buffered entries) grows the stack at every iteration
+// wherever symmetric transfer is not compiled as a tail call (-O0,
+// sanitizer builds). The simulation is strictly single-threaded: all
+// concurrency is virtual, interleaved by the event queue, so none of
+// this needs atomics.
 //
 // GCC 12 PITFALL: never pass a *prvalue temporary* of a non-trivially-
 // copyable type (std::string, structs containing them) as a BY-VALUE
@@ -33,6 +41,10 @@ namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
+  // The awaiting parent suspended (the child did not finish inline), so
+  // completion must resume it; otherwise the parent is still inside its
+  // await_suspend and carries on by itself.
+  bool parent_suspended = false;
   std::exception_ptr exception;
 
   struct FinalAwaiter {
@@ -41,7 +53,7 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<Promise> h) noexcept {
       auto& promise = h.promise();
-      if (promise.continuation) return promise.continuation;
+      if (promise.parent_suspended) return promise.continuation;
       return std::noop_coroutine();
     }
     void await_resume() const noexcept {}
@@ -109,10 +121,13 @@ class [[nodiscard]] Task {
     struct Awaiter {
       Handle handle;
       bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> awaiting) noexcept {
-        handle.promise().continuation = awaiting;
-        return handle;  // symmetric transfer into the child
+      bool await_suspend(std::coroutine_handle<> awaiting) noexcept {
+        auto& promise = handle.promise();
+        promise.continuation = awaiting;
+        handle.resume();  // runs until the child suspends or completes
+        if (handle.done()) return false;  // finished inline: carry on
+        promise.parent_suspended = true;
+        return true;
       }
       T await_resume() { return handle.promise().TakeResult(); }
     };

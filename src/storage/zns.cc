@@ -62,8 +62,10 @@ sim::Task<Result<std::uint64_t>> ZnsSsd::Append(
     std::uint32_t zone, std::span<const std::byte> data, sim::Activity act) {
   if (Status s = CheckZoneId(zone); !s.ok()) co_return s;
   if (config_.faults != nullptr) {
-    if (Status s = config_.faults->OnIo(sim::FaultOp::kAppend, zone);
+    Tick latency = 0;
+    if (Status s = config_.faults->OnIo(sim::FaultOp::kAppend, zone, &latency);
         !s.ok()) {
+      if (latency > 0) co_await sim_->Delay(latency);
       co_return s;
     }
   }
@@ -108,7 +110,10 @@ sim::Task<Status> ZnsSsd::Read(std::uint64_t addr, std::span<std::byte> out,
       static_cast<std::uint32_t>(addr / config_.zone_size);
   if (Status s = CheckZoneId(zone); !s.ok()) co_return s;
   if (config_.faults != nullptr) {
-    if (Status s = config_.faults->OnIo(sim::FaultOp::kRead, zone); !s.ok()) {
+    Tick latency = 0;
+    if (Status s = config_.faults->OnIo(sim::FaultOp::kRead, zone, &latency);
+        !s.ok()) {
+      if (latency > 0) co_await sim_->Delay(latency);
       co_return s;
     }
   }
@@ -132,8 +137,10 @@ sim::Task<Status> ZnsSsd::Read(std::uint64_t addr, std::span<std::byte> out,
 sim::Task<Status> ZnsSsd::Reset(std::uint32_t zone, sim::Activity act) {
   if (Status s = CheckZoneId(zone); !s.ok()) co_return s;
   if (config_.faults != nullptr) {
-    if (Status s = config_.faults->OnIo(sim::FaultOp::kReset, zone);
+    Tick latency = 0;
+    if (Status s = config_.faults->OnIo(sim::FaultOp::kReset, zone, &latency);
         !s.ok()) {
+      if (latency > 0) co_await sim_->Delay(latency);
       co_return s;
     }
   }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +16,10 @@
 #include "client/client.h"
 #include "common/crc32c.h"
 #include "common/keys.h"
+#include "common/random.h"
 #include "kvcsd/device.h"
+#include "nvme/log_page.h"
+#include "nvme/skey.h"
 #include "sim/fault.h"
 
 namespace kvcsd::device {
@@ -577,6 +581,83 @@ TEST_P(RecompactCrashPointTest, RecoversToSameBytes) {
   EXPECT_EQ(folded, reference) << point;
 }
 
+// Reads the mutated view back to back until the power is cut: every
+// answer that arrives before the cut must be the merged view.
+struct CrashReaders {
+  std::uint32_t reference = 0;
+  std::uint64_t reads = 0;
+  bool wrong = false;
+};
+
+sim::Task<void> ReadUntilCrash(client::Client* db, sim::FaultInjector* faults,
+                               CrashReaders* log) {
+  auto ks = co_await db->OpenKeyspace("rc");
+  KVCSD_CO_ASSERT_OK(ks);
+  while (!faults->crashed()) {
+    auto got = co_await ks->Get(MakeFixedKey(10));
+    if (got.ok()) {
+      if (*got != "overwritten") log->wrong = true;
+      ++log->reads;
+    } else if (!faults->crashed()) {
+      log->wrong = true;
+    }
+    std::vector<std::pair<std::string, std::string>> rows;
+    Status scanned = co_await ks->Scan("", "\x7f", 0, &rows);
+    if (scanned.ok()) {
+      if (Fingerprint(rows) != log->reference) log->wrong = true;
+      ++log->reads;
+    } else if (!faults->crashed()) {
+      log->wrong = true;
+    }
+  }
+}
+
+// The same sweep with readers streaming throughout the fold: they are in
+// flight (or held at the commit gate) whenever the power is cut, and
+// recovery still lands on the same bytes.
+TEST_P(RecompactCrashPointTest, RecoversToSameBytesWithReadersInFlight) {
+  const char* point = GetParam();
+
+  CrashReaders log;
+  {
+    PowerCycleFixture ref;
+    testutil::RunSim(ref.sim, LoadCompactMutate(ref.db.get(), "rc"));
+    testutil::RunSim(ref.sim,
+                     VerifyMutatedView(ref.db.get(), "rc", &log.reference));
+  }
+  ASSERT_NE(log.reference, 0u);
+
+  PowerCycleFixture f;
+  testutil::RunSim(f.sim, LoadCompactMutate(f.db.get(), "rc"));
+  f.faults.ArmCrashAtPoint(point, 1);
+  testutil::RunSim(
+      f.sim,
+      [](client::Client* db, sim::FaultInjector* faults, sim::Simulation* sim,
+         CrashReaders* readers) -> sim::Task<void> {
+        for (int r = 0; r < 2; ++r) {
+          sim->Spawn(ReadUntilCrash(db, faults, readers));
+        }
+        // Start the fold only once the reader stream is running.
+        while (readers->reads == 0) co_await sim->Delay(Microseconds(10));
+        auto ks = co_await db->OpenKeyspace("rc");
+        KVCSD_CO_ASSERT_OK(ks);
+        Status s = co_await ks->Compact();
+        if (s.ok()) (void)co_await ks->WaitCompaction();
+        KVCSD_CO_ASSERT(faults->crashed());
+      }(f.db.get(), &f.faults, &f.sim, &log));
+  ASSERT_EQ(f.faults.crash_point(), point);
+  EXPECT_GT(log.reads, 0u);
+  EXPECT_FALSE(log.wrong) << point;
+
+  f.Restart();
+  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+  }(f.dev()));
+  std::uint32_t recovered = 0;
+  testutil::RunSim(f.sim, VerifyMutatedView(f.db.get(), "rc", &recovered));
+  EXPECT_EQ(recovered, log.reference) << point;
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
                          ::testing::Values("recompact.before_fold",
                                            "recompact.before_commit",
@@ -685,6 +766,370 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
     KVCSD_CO_ASSERT(folds == 2);
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
   }(&db, &dev, &sim));
+}
+
+// --------------------------------------------------------------------------
+// Fold output is pinned: batching the fold's index appends and reading its
+// blocks through a read-ahead window must not move a single block
+// boundary. For a fixed seed, the retained/rebuilt block counts and the
+// bytes one fold writes equal the values the serial fold produced, for a
+// plain keyspace and for one carrying a secondary index.
+// --------------------------------------------------------------------------
+struct FoldOutput {
+  std::uint64_t pidx_retained = 0;
+  std::uint64_t pidx_rebuilt = 0;
+  std::uint64_t sidx_retained = 0;
+  std::uint64_t sidx_rebuilt = 0;
+  std::uint64_t bytes_written = 0;
+};
+
+constexpr std::uint64_t kSeededKeys = 20000;
+
+// Loads kSeededKeys energy-tagged keys, compacts (with the energy index
+// when `with_index`), applies a seeded delta of overwrites, deletes and
+// inserts, then folds it; *out receives what that one fold produced.
+sim::Task<void> SeededFold(client::Client* db, Device* dev,
+                           sim::Simulation* sim, std::string name,
+                           bool with_index, std::uint64_t seed,
+                           FoldOutput* out) {
+  auto ks = (co_await db->CreateKeyspace(name)).value();
+  auto writer = ks.NewBulkWriter();
+  for (std::uint64_t i = 0; i < kSeededKeys; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await writer.Add(
+        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+  }
+  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  if (with_index) {
+    nvme::SecondaryIndexSpec energy;
+    energy.name = "energy";
+    energy.value_offset = 28;
+    energy.value_length = 4;
+    energy.type = nvme::SecondaryKeyType::kF32;
+    std::vector<nvme::SecondaryIndexSpec> specs;
+    specs.push_back(energy);
+    KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(std::move(specs)));
+  } else {
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+  Rng rng(seed);
+  for (int op = 0; op < 160; ++op) {
+    const std::uint64_t roll = rng.Uniform(10);
+    if (roll < 6) {  // overwrite with a new energy
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(rng.Uniform(kSeededKeys)),
+          CsdFixture::EnergyValue(static_cast<float>(rng.Uniform(50000)))));
+    } else if (roll < 8) {
+      KVCSD_CO_ASSERT_OK(
+          co_await ks.Delete(MakeFixedKey(rng.Uniform(kSeededKeys))));
+    } else {  // insert past the run
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(kSeededKeys + rng.Uniform(kSeededKeys)),
+          CsdFixture::EnergyValue(static_cast<float>(rng.Uniform(50000)))));
+    }
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks.Sync());
+  std::vector<std::pair<std::string, std::string>> before;
+  KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &before));
+
+  auto counter = [sim](const char* n) { return sim->stats().counter_value(n); };
+  const FoldOutput start{counter("device.recompact.pidx_blocks_retained"),
+                         counter("device.recompact.pidx_blocks_rebuilt"),
+                         counter("device.recompact.sidx_blocks_retained"),
+                         counter("device.recompact.sidx_blocks_rebuilt"),
+                         dev->compaction_stats().bytes_written};
+  KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+  KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+  out->pidx_retained =
+      counter("device.recompact.pidx_blocks_retained") - start.pidx_retained;
+  out->pidx_rebuilt =
+      counter("device.recompact.pidx_blocks_rebuilt") - start.pidx_rebuilt;
+  out->sidx_retained =
+      counter("device.recompact.sidx_blocks_retained") - start.sidx_retained;
+  out->sidx_rebuilt =
+      counter("device.recompact.sidx_blocks_rebuilt") - start.sidx_rebuilt;
+  out->bytes_written =
+      dev->compaction_stats().bytes_written - start.bytes_written;
+
+  std::vector<std::pair<std::string, std::string>> after;
+  KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &after));
+  KVCSD_CO_ASSERT(!before.empty() && after.size() == before.size());
+  KVCSD_CO_ASSERT(Fingerprint(after) == Fingerprint(before));
+}
+
+TEST(MutabilityTest, FoldOutputMatchesSerialFold) {
+  sim::Simulation sim;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  DeviceConfig cfg = SmallDevice();
+  cfg.output_batch_bytes = KiB(16);  // several batched appends per fold
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+
+  FoldOutput plain;
+  FoldOutput indexed;
+  testutil::RunSim(sim,
+                   SeededFold(&db, &dev, &sim, "plain", false, 11, &plain));
+  testutil::RunSim(sim,
+                   SeededFold(&db, &dev, &sim, "indexed", true, 12, &indexed));
+  // Reference values: the serial fold (one read and one append per dirty
+  // block) on this seed and configuration.
+  EXPECT_EQ(plain.pidx_retained, 44u);
+  EXPECT_EQ(plain.pidx_rebuilt, 84u);
+  EXPECT_EQ(plain.sidx_retained, 0u);
+  EXPECT_EQ(plain.sidx_rebuilt, 0u);
+  EXPECT_EQ(plain.bytes_written, 348096u);
+  EXPECT_EQ(indexed.pidx_retained, 34u);
+  EXPECT_EQ(indexed.pidx_rebuilt, 94u);
+  EXPECT_EQ(indexed.sidx_retained, 44u);
+  EXPECT_EQ(indexed.sidx_rebuilt, 109u);
+  EXPECT_EQ(indexed.bytes_written, 847968u);
+}
+
+// --------------------------------------------------------------------------
+// Folds off the read path (DESIGN.md §12): while a fold runs, queries read
+// the pre-fold run + delta and are held only at the short commit gate.
+// --------------------------------------------------------------------------
+constexpr std::uint64_t kLiveKeys = 20000;
+
+// The merged view LoadWithScatteredDelta leaves: every 10th key
+// overwritten (energy + 0.5), every 37th deleted (deletes win), the rest
+// untouched. nullopt = absent.
+std::optional<std::string> LiveValue(std::uint64_t i) {
+  if (i % 37 == 0) return std::nullopt;
+  if (i % 10 == 0) {
+    return CsdFixture::EnergyValue(static_cast<float>(i) + 0.5f);
+  }
+  return CsdFixture::EnergyValue(static_cast<float>(i));
+}
+
+// A compacted keyspace with a delta scattered over most PIDX blocks, so a
+// fold reads and rewrites many blocks.
+sim::Task<Result<client::KeyspaceHandle>> LoadWithScatteredDelta(
+    client::Client* db, std::string name) {
+  auto ks = co_await db->CreateKeyspace(name);
+  if (!ks.ok()) co_return ks.status();
+  auto writer = ks->NewBulkWriter();
+  for (std::uint64_t i = 0; i < kLiveKeys; ++i) {
+    KVCSD_CO_RETURN_IF_ERROR(co_await writer.Add(
+        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await writer.Flush());
+  KVCSD_CO_RETURN_IF_ERROR(co_await ks->Compact());
+  KVCSD_CO_RETURN_IF_ERROR(co_await ks->WaitCompaction());
+  for (std::uint64_t i = 0; i < kLiveKeys; i += 10) {
+    KVCSD_CO_RETURN_IF_ERROR(co_await ks->Put(
+        MakeFixedKey(i),
+        CsdFixture::EnergyValue(static_cast<float>(i) + 0.5f)));
+  }
+  for (std::uint64_t i = 0; i < kLiveKeys; i += 37) {
+    KVCSD_CO_RETURN_IF_ERROR(co_await ks->Delete(MakeFixedKey(i)));
+  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await ks->Sync());
+  co_return std::move(*ks);
+}
+
+// Point reads of random multiples of `stride`, back to back, until
+// `stop`; every answer is checked against LiveValue (the pre-fold merged
+// view, which the fold preserves).
+struct ReaderStream {
+  bool stop = false;
+  std::uint64_t reads = 0;
+  std::uint64_t wrong = 0;
+};
+
+sim::Task<void> ReadUntilStopped(client::KeyspaceHandle ks, std::uint64_t seed,
+                                 std::uint64_t stride, ReaderStream* stream) {
+  Rng rng(seed);
+  while (!stream->stop) {
+    const std::uint64_t i = rng.Uniform(kLiveKeys / stride) * stride;
+    auto got = co_await ks.Get(MakeFixedKey(i));
+    const std::optional<std::string> want = LiveValue(i);
+    const bool right = want.has_value() ? got.ok() && *got == *want
+                                        : got.status().IsNotFound();
+    if (!right) ++stream->wrong;
+    ++stream->reads;
+  }
+}
+
+const sim::HistogramSummary* FindHistogram(const nvme::StatsPage& page,
+                                           const std::string& name) {
+  for (const auto& [n, summary] : page.histograms) {
+    if (n == name) return &summary;
+  }
+  return nullptr;
+}
+
+// A GET, a Scan and a pushdown Select issued after the fold starts all
+// complete while the keyspace is still RECOMPACTING — before the fold's
+// completion — and each answers the merged (run + delta) view.
+TEST(MutabilityTest, ReadsProceedDuringFold) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    auto ks = co_await LoadWithScatteredDelta(db, "live");
+    KVCSD_CO_ASSERT_OK(ks);
+    const std::string lo = MakeFixedKey(1000);
+    const std::string hi = MakeFixedKey(1300);
+    client::KeyspaceHandle::SelectOptions opts;
+    opts.pred = nvme::PredicateF32(nvme::PredicateOp::kGe, 28, 1100.0f);
+    std::vector<std::pair<std::string, std::string>> scan_view;
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan(lo, hi, 0, &scan_view));
+    std::vector<std::pair<std::string, std::string>> select_view;
+    KVCSD_CO_ASSERT_OK(co_await ks->Select(lo, hi, opts, &select_view));
+    KVCSD_CO_ASSERT(scan_view.size() == 301 - 8);  // 8 multiples of 37
+    KVCSD_CO_ASSERT(!select_view.empty());
+
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());  // the fold is running
+    Keyspace* live = dev->keyspaces().Find("live").value();
+    KVCSD_CO_ASSERT(live->state == KeyspaceState::kRecompacting);
+    const std::uint64_t folds = dev->compactions_done();
+
+    // 1010 is served from the delta, 1011 from a dirty run block.
+    auto delta_get = co_await ks->GetAsync(MakeFixedKey(1010));
+    auto run_get = co_await ks->GetAsync(MakeFixedKey(1011));
+    auto select = co_await ks->SelectAsync(lo, hi, opts);
+    std::vector<std::pair<std::string, std::string>> scanned;
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan(lo, hi, 0, &scanned));
+    auto from_delta = co_await delta_get.Await();
+    auto from_run = co_await run_get.Await();
+    auto selected = co_await select.Await();
+    // Every answer is in and the fold has not completed.
+    KVCSD_CO_ASSERT(live->state == KeyspaceState::kRecompacting);
+    KVCSD_CO_ASSERT(dev->compactions_done() == folds);
+    const Tick reads_done = sim->Now();
+
+    KVCSD_CO_ASSERT_OK(from_delta);
+    KVCSD_CO_ASSERT(*from_delta == *LiveValue(1010));
+    KVCSD_CO_ASSERT_OK(from_run);
+    KVCSD_CO_ASSERT(*from_run == *LiveValue(1011));
+    KVCSD_CO_ASSERT(Fingerprint(scanned) == Fingerprint(scan_view));
+    KVCSD_CO_ASSERT_OK(selected);
+    KVCSD_CO_ASSERT(Fingerprint(*selected) == Fingerprint(select_view));
+
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    KVCSD_CO_ASSERT(sim->Now() > reads_done);
+    KVCSD_CO_ASSERT(dev->compactions_done() == folds + 1);
+    // The folded run answers the same.
+    scanned.clear();
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan(lo, hi, 0, &scanned));
+    KVCSD_CO_ASSERT(Fingerprint(scanned) == Fingerprint(scan_view));
+  }(&f.db, &f.dev, &f.sim));
+}
+
+// A continuous reader stream cannot starve the commit: the gate stops new
+// readers, the in-flight ones drain, and the fold commits. Readers were
+// held at the gate (device.recompact.gate_ns, read over the stats page)
+// for less than the fold took.
+TEST(MutabilityTest, CommitIsNotStarvedByReaders) {
+  CsdFixture f;
+  ReaderStream stream;
+  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
+                             sim::Simulation* sim,
+                             ReaderStream* readers) -> sim::Task<void> {
+    auto ks = co_await LoadWithScatteredDelta(db, "busy");
+    KVCSD_CO_ASSERT_OK(ks);
+    for (std::uint64_t r = 0; r < 4; ++r) {
+      sim->Spawn(ReadUntilStopped(*ks, 100 + r, 1, readers));
+    }
+    while (readers->reads < 8) co_await sim->Delay(Microseconds(10));
+    const std::uint64_t before_fold = readers->reads;
+    const Tick fold_begin = sim->Now();
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    const Status folded = co_await ks->WaitCompaction();
+    const Tick fold_end = sim->Now();
+    const std::uint64_t during_fold = readers->reads - before_fold;
+    readers->stop = true;
+    KVCSD_CO_ASSERT_OK(folded);
+    KVCSD_CO_ASSERT(dev->compactions_done() == 2);  // compaction + fold
+    KVCSD_CO_ASSERT(during_fold > 0);
+    KVCSD_CO_ASSERT(fold_end - fold_begin < Milliseconds(100));
+
+    auto page = co_await db->GetStats();
+    KVCSD_CO_ASSERT_OK(page);
+    const sim::HistogramSummary* gate =
+        FindHistogram(*page, "device.recompact.gate_ns");
+    const sim::HistogramSummary* fold =
+        FindHistogram(*page, "device.recompact.fold_ns");
+    KVCSD_CO_ASSERT(gate != nullptr && fold != nullptr);
+    KVCSD_CO_ASSERT(gate->count > 0);
+    KVCSD_CO_ASSERT(gate->max < fold->max);
+  }(&f.db, &f.dev, &f.sim, &stream));
+  EXPECT_EQ(stream.wrong, 0u);
+}
+
+// The commit gate stays closed until the commit persist (or its rollback)
+// returns. A metadata-zone append error at the commit fails the fold while
+// GETs stream: each GET — including those held at the gate across the
+// failed persist — returns the pre-fold value, the fold reports the error,
+// and the failure is counted on the health and stats pages.
+TEST(MutabilityTest, FailedCommitKeepsReadersOnPreFoldState) {
+  sim::Simulation sim;
+  sim::FaultInjector faults{3};
+  DeviceConfig cfg = SmallDevice();
+  cfg.zns.faults = &faults;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+
+  ReaderStream stream;
+  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
+                           sim::Simulation* simp, sim::FaultInjector* fi,
+                           ReaderStream* readers) -> sim::Task<void> {
+    auto ks = co_await LoadWithScatteredDelta(dbp, "rollback");
+    KVCSD_CO_ASSERT_OK(ks);
+    // The fold persists twice: RECOMPACTING first (let through), then
+    // the commit, which fails 50 us in. Had the gate opened for that
+    // persist, GETs held at it would read the folded state and gather
+    // values from the fold's fresh clusters just as the rollback
+    // releases them. The readers ask only for delta keys (multiples of
+    // 10), whose values live only in those clusters once folded.
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kAppend;
+    rule.zone = devp->keyspaces().current_meta_zone();
+    rule.skip = 1;
+    rule.times = 1;
+    rule.latency = Microseconds(50);
+    fi->AddErrorRule(rule);
+
+    for (std::uint64_t r = 0; r < 4; ++r) {
+      simp->Spawn(ReadUntilStopped(*ks, 200 + r, 10, readers));
+    }
+    while (readers->reads < 8) co_await simp->Delay(Microseconds(10));
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    const Status folded = co_await ks->WaitCompaction();
+    readers->stop = true;
+    KVCSD_CO_ASSERT(folded.code() == StatusCode::kIoError);
+    KVCSD_CO_ASSERT(fi->errors_injected() == 1);
+    KVCSD_CO_ASSERT(
+        simp->stats().histogram("device.recompact.gate_ns").count() > 0);
+
+    auto health = co_await dbp->GetHealth();
+    KVCSD_CO_ASSERT_OK(health);
+    KVCSD_CO_ASSERT(health->Gauge("device.background.failures") == 1);
+    auto stats = co_await dbp->GetStats();
+    KVCSD_CO_ASSERT_OK(stats);
+    KVCSD_CO_ASSERT(stats->Counter("device.background.failures") == 1);
+
+    // Rolled back with the delta still pending; a retried fold commits.
+    auto stat = co_await ks->GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->state == "COMPACTED");
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    for (std::uint64_t i = 1000; i < 1100; ++i) {
+      auto got = co_await ks->Get(MakeFixedKey(i));
+      const std::optional<std::string> want = LiveValue(i);
+      KVCSD_CO_ASSERT(want.has_value() ? got.ok() && *got == *want
+                                       : got.status().IsNotFound());
+    }
+  }(&db, &dev, &sim, &faults, &stream));
+  EXPECT_GT(stream.reads, 0u);
+  EXPECT_EQ(stream.wrong, 0u);
 }
 
 }  // namespace

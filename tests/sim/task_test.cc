@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -109,6 +112,34 @@ TEST(TaskTest, DeeplyNestedAwaitChain) {
   }(&sim, &result));
   sim.Run();
   EXPECT_EQ(result, 5000);
+}
+
+// Record the stack position of a plain call made from a child task.
+[[gnu::noinline]] std::uintptr_t StackPosition() {
+  volatile char marker = 0;
+  return reinterpret_cast<std::uintptr_t>(&marker);
+}
+
+Task<std::uintptr_t> InlineChild() { co_return StackPosition(); }
+
+TEST(TaskTest, InlineCompletionsKeepTheStackFlat) {
+  // A loop awaiting children that finish without suspending (a merge
+  // popping buffered entries) must not nest one resume per iteration:
+  // each child returns to its parent on the same stack, so every child
+  // runs at the same depth. Nesting overflowed the stack in -O0
+  // sanitizer builds during long compaction merges.
+  Simulation sim;
+  std::uintptr_t lowest = std::numeric_limits<std::uintptr_t>::max();
+  std::uintptr_t highest = 0;
+  sim.Spawn([](std::uintptr_t* lo, std::uintptr_t* hi) -> Task<void> {
+    for (int i = 0; i < 100000; ++i) {
+      const std::uintptr_t at = co_await InlineChild();
+      *lo = std::min(*lo, at);
+      *hi = std::max(*hi, at);
+    }
+  }(&lowest, &highest));
+  sim.Run();
+  EXPECT_EQ(lowest, highest);
 }
 
 TEST(TaskTest, ExceptionPropagatesToAwaiter) {

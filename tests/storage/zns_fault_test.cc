@@ -60,6 +60,25 @@ TEST(ZnsFaultTest, InjectedAppendErrorLeavesZoneUntouched) {
   EXPECT_EQ(ReadZone(sim, ssd, 3), "doomed");
 }
 
+// A rule with a latency reports its error only after that long, and the
+// failed operation still writes nothing.
+TEST(ZnsFaultTest, InjectedErrorArrivesAfterItsLatency) {
+  sim::Simulation sim;
+  sim::FaultInjector faults;
+  ZnsSsd ssd(&sim, FaultyZns(&faults));
+
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  rule.zone = 2;
+  rule.latency = Microseconds(300);
+  faults.AddErrorRule(rule);
+
+  auto bad = testutil::RunSim(sim, ssd.Append(2, AsBytes("late")));
+  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(sim.Now(), Microseconds(300));
+  EXPECT_EQ(ssd.write_pointer(2), 0u);
+}
+
 TEST(ZnsFaultTest, PowerOffFailsAllOperationsButKeepsBytes) {
   sim::Simulation sim;
   sim::FaultInjector faults;
