@@ -57,21 +57,6 @@ namespace {
 // `soc_cores`) keeps the run layout independent of the core count.
 constexpr std::uint64_t kRunGenShares = 4;
 
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
-}
-
-// Order-preserving encoding of the secondary key bytes found in a value.
-Result<std::string> ExtractSecondaryKey(const Slice& value,
-                                        const nvme::SecondaryIndexSpec& spec) {
-  if (spec.value_offset + spec.value_length > value.size()) {
-    return Status::InvalidArgument("secondary key range beyond value");
-  }
-  return nvme::EncodeSecondaryKeyBytes(
-      Slice(value.data() + spec.value_offset, spec.value_length), spec);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -117,7 +102,8 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
       if (chunk.empty()) co_return Status::Ok();
       co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
       auto addr = co_await AppendToChain(&out->temp_clusters, ZoneType::kTemp,
-                                         AsBytes(chunk), sim::Activity::kCompact);
+                                         Slice(chunk).bytes(),
+                                         sim::Activity::kCompact);
       if (!addr.ok()) co_return addr.status();
       compaction_stats_.bytes_written += chunk.size();
       spilled.segments.emplace_back(*addr,
@@ -169,18 +155,15 @@ sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
   if (state->current.empty()) co_return Status::Ok();
   co_await cpu_.ComputeBytes(state->current_bytes,
                              config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-  std::sort(state->current.begin(), state->current.end(),
-            [](const SidxTuple& a, const SidxTuple& b) {
-              if (a.skey != b.skey) return a.skey < b.skey;
-              return a.pkey < b.pkey;
-            });
+  std::sort(state->current.begin(), state->current.end(), SidxLess);
   SpilledRun spilled;
   std::string chunk;
   auto flush_chunk = [&]() -> sim::Task<Status> {
     if (chunk.empty()) co_return Status::Ok();
     co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
     auto addr = co_await AppendToChain(&state->temp_clusters,
-                                       ZoneType::kTemp, AsBytes(chunk), sim::Activity::kCompact);
+                                       ZoneType::kTemp, Slice(chunk).bytes(),
+                                       sim::Activity::kCompact);
     if (!addr.ok()) co_return addr.status();
     compaction_stats_.bytes_written += chunk.size();
     spilled.segments.emplace_back(*addr,
@@ -240,7 +223,8 @@ sim::Task<Status> Device::SidxMergeToBlocks(
     for (const auto& [pivot, b] : pending_blocks) blob += b;
     co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
     auto addr = co_await AppendToChain(&sidx.sidx_clusters, ZoneType::kSidx,
-                                       AsBytes(blob), sim::Activity::kCompact);
+                                       Slice(blob).bytes(),
+                                       sim::Activity::kCompact);
     if (!addr.ok()) co_return addr.status();
     compaction_stats_.bytes_written += blob.size();
     for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
@@ -342,7 +326,8 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
     for (const auto& [pivot, b] : pending_blocks) blob += b;
     co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
     auto addr = co_await AppendToChain(&pipe->pidx_clusters, ZoneType::kPidx,
-                                       AsBytes(blob), sim::Activity::kCompact);
+                                       Slice(blob).bytes(),
+                                       sim::Activity::kCompact);
     if (!addr.ok()) co_return addr.status();
     compaction_stats_.bytes_written += blob.size();
     for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
@@ -393,8 +378,8 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 
       for (std::size_t spec_index = 0; spec_index < pipe->specs->size();
            ++spec_index) {
-        auto skey = ExtractSecondaryKey(Slice(b.values[i]),
-                                        (*pipe->specs)[spec_index]);
+        auto skey = nvme::ExtractSecondaryKey(Slice(b.values[i]),
+                                              (*pipe->specs)[spec_index]);
         if (!skey.ok()) co_return skey.status();
         SidxTuple tuple{std::move(*skey), e.key, b.new_addrs[i], e.value_len};
         KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(
@@ -431,73 +416,12 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 // Compaction (optionally fused with secondary-index construction)
 // ---------------------------------------------------------------------------
 
-// Failure-handling shell around RunCompaction. Whatever the body
-// allocated sits in `scratch`; on any failure the clusters are released
-// best-effort (after a power cut the resets fail silently and recovery
-// reclaims the orphans from the metadata snapshot instead) and the
-// keyspace rolls back to WRITABLE so its logs stay usable. The
-// completion event fires on every exit path — a waiter must never hang
-// on a failed compaction.
-sim::Task<Status> Device::CompactKeyspace(
-    Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
-    std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, "compact");
-  span.Arg("keyspace", ks->name);
-  span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
-  if (trigger_cmd_id != 0) {
-    span.Arg("trigger_cmd_id", trigger_cmd_id);
-    if (sim_->tracer().enabled()) {
-      // Closes the flow opened by the kCompact command's exec span: the
-      // viewer draws client submit -> device exec -> this compaction.
-      sim_->tracer().FlowEnd(sim_->tracer().Track(trk_compaction_), "compact",
-                             trigger_cmd_id, sim_->Now());
-    }
-  }
-  ++compactions_running_;
-  std::vector<ClusterId> scratch;
-  Status result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
-  --compactions_running_;
-  if (!result.ok()) {
-    co_await ReleaseClustersBestEffort(std::move(scratch));
-    if (ks->state == KeyspaceState::kCompacting) {
-      ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
-                                            : KeyspaceState::kWritable;
-    }
-    if (faults_ == nullptr || !faults_->crashed()) {
-      // Make the rollback durable so a later crash cannot resurrect the
-      // COMPACTING state. Best-effort: the snapshot still on flash also
-      // rolls back correctly at recovery.
-      Status persisted = co_await keyspace_manager_.Persist();
-      WarnDiscarded("rollback persist of keyspace '" + ks->name + "'",
-                    persisted);
-    }
-    ReportBackgroundFailure("compaction", *ks, result);
-  }
-  ks->last_compaction = result;
-  CompactionDone(ks->id)->Set();
-  co_await MaybeFinishPendingDelete(ks);
-  co_return result;
-}
-
 sim::Task<Status> Device::RunCompaction(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::vector<ClusterId>* scratch) {
   // Flush whatever is still buffered in DRAM and drain in-flight flush
   // I/O: compaction must observe complete KLOG/VLOG logs.
-  {
-    sim::Semaphore* lock = WriteLock(ks->id);
-    co_await lock->Acquire();
-    Status s = co_await FlushBuffer(ks);
-    lock->Release();
-    if (!s.ok()) co_return s;
-    co_await FlushInflight(ks->id)->Wait();
-    if (auto it = flush_errors_.find(ks->id);
-        it != flush_errors_.end() && !it->second.ok()) {
-      Status err = it->second;
-      it->second = Status::Ok();
-      co_return err;
-    }
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
 
   // Make the COMPACTING state and the final log extents durable before
   // any output is written: recovery must know to roll this keyspace back
@@ -616,7 +540,8 @@ sim::Task<Status> Device::RunCompaction(
       co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
       auto addr = co_await AppendToChain(&value_clusters,
                                          ZoneType::kSortedValues,
-                                         AsBytes(chunk), sim::Activity::kCompact);
+                                         Slice(chunk).bytes(),
+                                         sim::Activity::kCompact);
       if (!addr.ok()) co_return addr.status();
       compaction_stats_.bytes_written += chunk.size();
       std::uint64_t offset = 0;
@@ -877,7 +802,7 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     co_await cpu_.ComputeBytes(batch_bytes,
                                config_.costs.extract_bytes_per_sec, sim::Activity::kCompact);
     for (std::size_t i = 0; i < values->size(); ++i) {
-      auto skey = ExtractSecondaryKey(Slice((*values)[i]), spec);
+      auto skey = nvme::ExtractSecondaryKey(Slice((*values)[i]), spec);
       if (!skey.ok()) co_return skey.status();
       SidxTuple tuple{std::move(*skey), batch_meta[i].first,
                       batch_meta[i].second, batch_lens[i]};

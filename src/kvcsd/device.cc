@@ -1,6 +1,7 @@
 #include "kvcsd/device.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/coding.h"
 #include "kvcsd/wire.h"
@@ -123,9 +124,9 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
     out->emplace_back(prefix + "num_kvs", ks->num_kvs);
     out->emplace_back(prefix + "klog_bytes", ks->klog_bytes);
     out->emplace_back(prefix + "vlog_bytes", ks->vlog_bytes);
-    auto it = buffers_.find(id);
+    auto rt = runtimes_.find(id);
     out->emplace_back(prefix + "buffer_bytes",
-                      it == buffers_.end() ? 0 : it->second.bytes);
+                      rt == runtimes_.end() ? 0 : rt->second.buffer.bytes);
     out->emplace_back(prefix + "delta_entries", ks->delta_index.size());
     out->emplace_back(prefix + "delta_live", ks->delta_live);
     out->emplace_back(prefix + "delta_index_bytes", ks->delta_index_bytes);
@@ -234,36 +235,19 @@ bool Device::CrashPoint(const char* point) {
 sim::StatsView& Device::stats() { return stats_view_; }
 const sim::StatsView& Device::stats() const { return stats_view_; }
 
-sim::Semaphore* Device::WriteLock(std::uint64_t keyspace_id) {
-  auto& lock = write_locks_[keyspace_id];
-  if (!lock) lock = std::make_unique<sim::Semaphore>(sim_, 1);
-  return lock.get();
+Device::KeyspaceRuntime::KeyspaceRuntime(sim::Simulation* sim)
+    : write_lock(sim, 1),
+      flush_slots(sim, kMaxInflightFlushes),
+      flush_inflight(sim),
+      job_done(sim),
+      readers_idle(sim),
+      commit_gate(sim) {
+  job_done.Set();     // no job running yet
+  commit_gate.Set();  // open until a fold commits
 }
 
-sim::Event* Device::CompactionDone(std::uint64_t keyspace_id) {
-  auto& event = compaction_done_[keyspace_id];
-  if (!event) event = std::make_unique<sim::Event>(sim_);
-  return event.get();
-}
-
-sim::Event* Device::ReadersIdle(std::uint64_t keyspace_id) {
-  auto& event = readers_idle_[keyspace_id];
-  if (!event) event = std::make_unique<sim::Event>(sim_);
-  return event.get();
-}
-
-sim::Event* Device::CommitGate(std::uint64_t keyspace_id) {
-  auto& gate = commit_gates_[keyspace_id];
-  if (!gate) {
-    gate = std::make_unique<sim::Event>(sim_);
-    gate->Set();  // open until a fold commits
-  }
-  return gate.get();
-}
-
-bool Device::CommitGateClosed(std::uint64_t keyspace_id) const {
-  auto it = commit_gates_.find(keyspace_id);
-  return it != commit_gates_.end() && !it->second->is_set();
+Device::KeyspaceRuntime& Device::Runtime(const Keyspace* ks) {
+  return runtimes_.try_emplace(ks->id, sim_).first->second;
 }
 
 sim::Task<void> Device::MainLoop() {
@@ -473,74 +457,41 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       out.status = co_await DoBulkPut(ks, cmd.value);
       break;
     case nvme::Opcode::kCompact:
-    case nvme::Opcode::kCompactWithIndexes: {
+    case nvme::Opcode::kCompactWithIndexes:
+      out.status = Status::Ok();
       if (cmd.opcode == nvme::Opcode::kCompact &&
           ks->state == KeyspaceState::kCompacted) {
         // Re-compaction: fold the delta log into the existing sorted run
         // incrementally (DESIGN.md §12) instead of re-sorting everything.
-        if (ks->delta_index.empty()) {
-          out.status = Status::Ok();  // no delta: nothing to fold
-          break;
+        // No delta: nothing to fold.
+        if (!ks->delta_index.empty()) {
+          LaunchJob(ks, KeyspaceState::kRecompacting, {}, cmd.cmd_id);
         }
-        ks->state = KeyspaceState::kRecompacting;
-        CompactionDone(ks->id)->Reset();
-        if (sim_->tracer().enabled() && cmd.cmd_id != 0) {
-          sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_),
-                                   "compact", cmd.cmd_id, sim_->Now());
-        }
-        sim_->Spawn([](Device* device, Keyspace* target,
-                       std::uint64_t trigger) -> sim::Task<void> {
-          // Failure rolls back to COMPACTED; kCompactWait reports it.
-          (void)co_await device->RecompactKeyspace(target, trigger);
-        }(this, ks, cmd.cmd_id));
-        out.status = Status::Ok();
-        break;
-      }
-      if (ks->state != KeyspaceState::kWritable &&
-          ks->state != KeyspaceState::kEmpty) {
+      } else if (ks->state == KeyspaceState::kWritable ||
+                 ks->state == KeyspaceState::kEmpty) {
+        // The fused variant also builds the requested secondary indexes
+        // in the same pass (§V future work).
+        LaunchJob(ks, KeyspaceState::kCompacting,
+                  cmd.opcode == nvme::Opcode::kCompactWithIndexes
+                      ? std::move(cmd.sidx_list)
+                      : std::vector<nvme::SecondaryIndexSpec>{},
+                  cmd.cmd_id);
+      } else {
         out.status = Status::FailedPrecondition(
             "compaction requires a WRITABLE keyspace (state " +
             std::string(KeyspaceStateName(ks->state)) + ")");
-        break;
       }
-      ks->state = KeyspaceState::kCompacting;
-      CompactionDone(ks->id)->Reset();
-      // Deferred + offloaded: runs asynchronously on the device; the
-      // command completes immediately (paper §V "Compaction"). The fused
-      // variant also builds the requested secondary indexes in the same
-      // pass (§V future work). The COMPACTING state (not the inflight
-      // pin, which this command drops on completion) is what holds off a
-      // concurrent drop.
-      std::vector<nvme::SecondaryIndexSpec> specs;
-      if (cmd.opcode == nvme::Opcode::kCompactWithIndexes) {
-        specs = std::move(cmd.sidx_list);
-      }
-      if (sim_->tracer().enabled() && cmd.cmd_id != 0) {
-        // Second flow hop: from this command's exec span to the async
-        // compaction span it spawns.
-        sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
-                                 cmd.cmd_id, sim_->Now());
-      }
-      sim_->Spawn([](Device* device, Keyspace* target,
-                     std::vector<nvme::SecondaryIndexSpec> fused,
-                     std::uint64_t trigger) -> sim::Task<void> {
-        // Failure rolls back to WRITABLE; kCompactWait reports it.
-        (void)co_await device->CompactKeyspace(target, std::move(fused),
-                                               trigger);
-      }(this, ks, std::move(specs), cmd.cmd_id));
-      out.status = Status::Ok();
       break;
-    }
     case nvme::Opcode::kSync:
       out.status = co_await DoSync(ks);
       break;
-    case nvme::Opcode::kCompactWait:
-      while (ks->state == KeyspaceState::kCompacting ||
-             ks->state == KeyspaceState::kRecompacting) {
-        co_await CompactionDone(ks->id)->Wait();
-      }
+    case nvme::Opcode::kCompactWait: {
+      // Waits out the whole job, a failed one's rollback included.
+      sim::Event& done = Runtime(ks).job_done;
+      while (!done.is_set()) co_await done.Wait();
       out.status = ks->last_compaction;
       break;
+    }
     case nvme::Opcode::kSecondaryBuild:
       out.status = co_await BuildSecondaryIndex(ks, cmd.sidx);
       break;
@@ -585,8 +536,15 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
 }
 
 sim::Task<void> Device::Unpin(Keyspace* ks) {
-  --ks->inflight;
-  co_await MaybeFinishPendingDelete(ks);
+  if (--ks->inflight > 0 || !ks->pending_delete) co_return;
+  // The last pin of a keyspace with a deferred drop: run the drop. Clear
+  // the flag before the first await so concurrent callers cannot
+  // double-drop.
+  ks->pending_delete = false;
+  // FinishDrop frees *ks; name the keyspace from a copy.
+  const std::string what = "deferred drop of keyspace '" + ks->name + "'";
+  Status s = co_await FinishDrop(ks);
+  WarnDiscarded(what, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -614,9 +572,12 @@ Status Device::CheckMutable(Keyspace* ks) const {
     case KeyspaceState::kWritable:
     case KeyspaceState::kCompacted:  // delta mode: mutations land in a
                                      // fresh KLOG/VLOG log beside the run
-      if (CommitGateClosed(ks->id)) {
-        // A fold is persisting its commit (the state already reads
-        // COMPACTED); a write now could be rolled back with it.
+      // A closed commit gate means a fold is persisting its commit (the
+      // state already reads COMPACTED); a write now could be rolled back
+      // with it. Looked up without creating: a keyspace with no runtime
+      // yet has never folded, so its gate is open.
+      if (auto rt = runtimes_.find(ks->id);
+          rt != runtimes_.end() && !rt->second.commit_gate.is_set()) {
         return Status::Busy("keyspace is committing a fold; retry");
       }
       return Status::Ok();
@@ -673,13 +634,95 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
                           std::to_string(ks->delta_index_bytes) + " B >= " +
                           std::to_string(config_.delta_fold_watermark_bytes) +
                           " B, folding");
-  ks->state = KeyspaceState::kRecompacting;
-  CompactionDone(ks->id)->Reset();
-  sim_->Spawn([](Device* device, Keyspace* target) -> sim::Task<void> {
-    // Failure rolls back to COMPACTED (retried at the next crossing);
-    // kCompactWait reports it.
-    (void)co_await device->RecompactKeyspace(target);
-  }(this, ks));
+  // A failed fold rolls back to COMPACTED and is retried at the next
+  // crossing; kCompactWait reports it.
+  LaunchJob(ks, KeyspaceState::kRecompacting);
+}
+
+sim::Task<Status> Device::DrainWrites(Keyspace* ks) {
+  KeyspaceRuntime& rt = Runtime(ks);
+  co_await rt.write_lock.Acquire();
+  Status s = co_await FlushBuffer(ks);
+  rt.write_lock.Release();
+  KVCSD_CO_RETURN_IF_ERROR(s);
+  co_await rt.flush_inflight.Wait();
+  // Surface the flush failure once, then clear it: FlushIo re-queued the
+  // failed batch into the write buffer, so the next drain re-flushes the
+  // data for real instead of failing forever on a stale latched error
+  // (or, worse, persisting an empty buffer).
+  co_return std::exchange(rt.flush_error, Status::Ok());
+}
+
+// ---------------------------------------------------------------------------
+// Background jobs: compaction and delta fold
+// ---------------------------------------------------------------------------
+
+void Device::LaunchJob(Keyspace* ks, KeyspaceState state,
+                       std::vector<nvme::SecondaryIndexSpec> fused_specs,
+                       std::uint64_t trigger_cmd_id) {
+  ks->state = state;
+  // The job pins the keyspace until its very end (RunJob's Unpin), so a
+  // drop defers behind it even after the state has moved on.
+  ++ks->inflight;
+  Runtime(ks).job_done.Reset();
+  if (sim_->tracer().enabled() && trigger_cmd_id != 0) {
+    // Second flow hop: from the command's exec span to the job span.
+    sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
+                             trigger_cmd_id, sim_->Now());
+  }
+  sim_->Spawn(RunJob(ks, state == KeyspaceState::kRecompacting,
+                     std::move(fused_specs), trigger_cmd_id));
+}
+
+sim::Task<void> Device::RunJob(
+    Keyspace* ks, bool fold, std::vector<nvme::SecondaryIndexSpec> fused_specs,
+    std::uint64_t trigger_cmd_id) {
+  sim::TraceSpan span(sim_, trk_compaction_, fold ? "recompact" : "compact");
+  span.Arg("keyspace", ks->name);
+  if (fold) {
+    span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
+  } else {
+    span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
+  }
+  if (trigger_cmd_id != 0) {
+    span.Arg("trigger_cmd_id", trigger_cmd_id);
+    if (sim_->tracer().enabled()) {
+      // Closes the flow LaunchJob opened: the viewer draws client submit
+      // -> device exec -> this job.
+      sim_->tracer().FlowEnd(sim_->tracer().Track(trk_compaction_), "compact",
+                             trigger_cmd_id, sim_->Now());
+    }
+  }
+  ++compactions_running_;
+  std::vector<ClusterId> scratch;
+  Status result = Status::Ok();
+  if (fold) {
+    result = co_await RunRecompaction(ks, &scratch);
+  } else {
+    result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+  }
+  --compactions_running_;
+  if (!result.ok()) {
+    co_await ReleaseClustersBestEffort(std::move(scratch));
+    if (fold && ks->state == KeyspaceState::kRecompacting) {
+      ks->state = KeyspaceState::kCompacted;  // delta still pending
+    } else if (!fold && ks->state == KeyspaceState::kCompacting) {
+      ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
+                                            : KeyspaceState::kWritable;
+    }
+    if (faults_ == nullptr || !faults_->crashed()) {
+      // Make the rollback durable so a later crash cannot resurrect the
+      // job state. Best-effort: the snapshot still on flash also rolls
+      // back correctly at recovery.
+      Status persisted = co_await keyspace_manager_.Persist();
+      WarnDiscarded("rollback persist of keyspace '" + ks->name + "'",
+                    persisted);
+    }
+    ReportBackgroundFailure(fold ? "fold" : "compaction", *ks, result);
+  }
+  ks->last_compaction = result;
+  Runtime(ks).job_done.Set();
+  co_await Unpin(ks);  // runs a drop deferred behind the job
 }
 
 sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
@@ -688,18 +731,18 @@ sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
     ks->state = KeyspaceState::kWritable;
   }
   KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
+  KeyspaceRuntime& rt = Runtime(ks);
+  co_await rt.write_lock.Acquire();
   // Re-check under the lock: a re-compaction can start while this command
   // waits for the lock, and a mutation admitted past its delta snapshot
   // would be silently dropped by the fold's commit.
   if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
+    rt.write_lock.Release();
     co_return admit;
   }
 
   co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
-  WriteBuffer& buffer = buffers_[ks->id];
+  WriteBuffer& buffer = rt.buffer;
   buffer.bytes += key.size() + value.size();
   ++puts_;
   if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
@@ -717,7 +760,7 @@ sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
   if (buffer.bytes >= config_.write_buffer_bytes) {
     s = co_await FlushBuffer(ks);
   }
-  lock->Release();
+  rt.write_lock.Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
 }
@@ -732,15 +775,15 @@ sim::Task<Status> Device::DoDelete(Keyspace* ks, std::string key) {
     ks->state = KeyspaceState::kWritable;
   }
   KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
+  KeyspaceRuntime& rt = Runtime(ks);
+  co_await rt.write_lock.Acquire();
   if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
+    rt.write_lock.Release();
     co_return admit;
   }
 
   co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
-  WriteBuffer& buffer = buffers_[ks->id];
+  WriteBuffer& buffer = rt.buffer;
   buffer.bytes += key.size();
   const std::uint64_t seq = ks->next_seq++;
   if (ks->state == KeyspaceState::kCompacted) {
@@ -757,7 +800,7 @@ sim::Task<Status> Device::DoDelete(Keyspace* ks, std::string key) {
   if (buffer.bytes >= config_.write_buffer_bytes) {
     s = co_await FlushBuffer(ks);
   }
-  lock->Release();
+  rt.write_lock.Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
 }
@@ -767,10 +810,10 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
     ks->state = KeyspaceState::kWritable;
   }
   KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
+  KeyspaceRuntime& rt = Runtime(ks);
+  co_await rt.write_lock.Acquire();
   if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
+    rt.write_lock.Release();
     co_return admit;
   }
 
@@ -782,7 +825,7 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
                              sim::Activity::kHostWrite);
 
   Status s = Status::Ok();
-  WriteBuffer& buffer = buffers_[ks->id];
+  WriteBuffer& buffer = rt.buffer;
   Slice in(frame);
   std::uint32_t records_uncharged = 0;
   while (!in.empty()) {
@@ -824,21 +867,9 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
     co_await cpu_.Compute(records_uncharged * config_.costs.kv_op_fixed,
                             sim::Activity::kHostWrite);
   }
-  lock->Release();
+  rt.write_lock.Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
-}
-
-sim::Semaphore* Device::FlushSlots(std::uint64_t keyspace_id) {
-  auto& sem = flush_slots_[keyspace_id];
-  if (!sem) sem = std::make_unique<sim::Semaphore>(sim_, kMaxInflightFlushes);
-  return sem.get();
-}
-
-sim::WaitGroup* Device::FlushInflight(std::uint64_t keyspace_id) {
-  auto& wg = flush_inflight_[keyspace_id];
-  if (!wg) wg = std::make_unique<sim::WaitGroup>(sim_);
-  return wg.get();
 }
 
 // Kicks off the timed flush I/O. The buffer swap is synchronous (caller
@@ -846,14 +877,13 @@ sim::WaitGroup* Device::FlushInflight(std::uint64_t keyspace_id) {
 // kMaxInflightFlushes batches in flight, spread over the cluster's zones
 // by the zone manager's rotation.
 sim::Task<Status> Device::FlushBuffer(Keyspace* ks) {
-  WriteBuffer& buffer = buffers_[ks->id];
-  if (buffer.entries.empty()) co_return Status::Ok();
-  WriteBuffer batch = std::move(buffer);
-  buffer = WriteBuffer{};
+  KeyspaceRuntime& rt = Runtime(ks);
+  if (rt.buffer.entries.empty()) co_return Status::Ok();
+  WriteBuffer batch = std::exchange(rt.buffer, WriteBuffer{});
   ++flushes_;
 
-  co_await FlushSlots(ks->id)->Acquire();  // backpressure
-  FlushInflight(ks->id)->Add(1);
+  co_await rt.flush_slots.Acquire();  // backpressure
+  rt.flush_inflight.Add(1);
   // Pin before spawning: the detached FlushIo holds the raw pointer past
   // this command's lifetime, so a drop must defer until it lands.
   ++ks->inflight;
@@ -881,12 +911,9 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
                           sim::Activity::kHostWrite);
     Result<std::uint64_t> vaddr{std::uint64_t{0}};
     if (!values.empty()) {
-      vaddr = co_await AppendToChain(
-          &ks->vlog_clusters, ZoneType::kVlog,
-          std::span<const std::byte>(
-              reinterpret_cast<const std::byte*>(values.data()),
-              values.size()),
-          sim::Activity::kHostWrite);
+      vaddr = co_await AppendToChain(&ks->vlog_clusters, ZoneType::kVlog,
+                                     Slice(values).bytes(),
+                                     sim::Activity::kHostWrite);
     }
     if (vaddr.ok() && CrashPoint("flush.between_logs")) {
       // Values landed, keys did not: the VLOG record is unreachable
@@ -915,11 +942,9 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
                                  sim::Activity::kHostWrite);
       co_await cpu_.Compute(config_.costs.io_path_overhead,
                             sim::Activity::kHostWrite);
-      auto kaddr = co_await AppendToChain(
-          &ks->klog_clusters, ZoneType::kKlog,
-          std::span<const std::byte>(
-              reinterpret_cast<const std::byte*>(klog.data()), klog.size()),
-          sim::Activity::kHostWrite);
+      auto kaddr = co_await AppendToChain(&ks->klog_clusters, ZoneType::kKlog,
+                                          Slice(klog).bytes(),
+                                          sim::Activity::kHostWrite);
       if (kaddr.ok()) {
         ks->klog_bytes += klog.size();
         // Both logs durable; a crash here loses only the acknowledgement.
@@ -932,8 +957,9 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
     }
   }
 
+  KeyspaceRuntime& rt = Runtime(ks);
   if (!result.ok()) {
-    if (flush_errors_[ks->id].ok()) flush_errors_[ks->id] = result;
+    if (rt.flush_error.ok()) rt.flush_error = result;
     // The batch never became durable, but its entries are still counted
     // in num_kvs/min/max and still owed to the client. Re-queue it in
     // front of anything written since (this block has no suspension
@@ -942,15 +968,15 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
     // buffer and falsely reporting it durable. A VLOG record the failure
     // stranded without KLOG entries is unreferenced garbage; compaction
     // and recovery never resurrect it.
-    WriteBuffer& buffer = buffers_[ks->id];
+    WriteBuffer& buffer = rt.buffer;
     batch.bytes += buffer.bytes;
     batch.entries.insert(batch.entries.end(),
                          std::make_move_iterator(buffer.entries.begin()),
                          std::make_move_iterator(buffer.entries.end()));
     buffer = std::move(batch);
   }
-  FlushSlots(ks->id)->Release();
-  FlushInflight(ks->id)->Done();
+  rt.flush_slots.Release();
+  rt.flush_inflight.Done();
   co_await Unpin(ks);
 }
 
@@ -961,29 +987,14 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
 sim::Task<Status> Device::DoSync(Keyspace* ks) {
   if (ks->state == KeyspaceState::kCompacting ||
       ks->state == KeyspaceState::kRecompacting ||
-      CommitGateClosed(ks->id)) {
+      !Runtime(ks).commit_gate.is_set()) {
     // The compactor owns the logs and drained every flush before taking
     // over; mutations have been rejected (kBusy) since, so there is
     // nothing buffered to persist — and a snapshot taken while a fold
     // commits would capture state its rollback may still undo.
     co_return Status::Ok();
   }
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  Status s = co_await FlushBuffer(ks);
-  lock->Release();
-  KVCSD_CO_RETURN_IF_ERROR(s);
-  co_await FlushInflight(ks->id)->Wait();
-  if (auto it = flush_errors_.find(ks->id);
-      it != flush_errors_.end() && !it->second.ok()) {
-    // Surface the flush failure once, then clear it: the failed batch
-    // was re-queued into the write buffer by FlushIo, so a retried Sync
-    // re-flushes the data for real instead of failing forever on a
-    // stale latched error (or, worse, persisting an empty buffer).
-    Status err = it->second;
-    it->second = Status::Ok();
-    co_return err;
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
   if (CrashPoint("sync.before_persist")) {
     co_return Status::IoError("simulated power loss (before sync persist)");
   }
@@ -1028,9 +1039,8 @@ void Device::ReportBackgroundFailure(std::string_view job, const Keyspace& ks,
 }
 
 sim::Task<Status> Device::DropKeyspace(Keyspace* ks) {
-  if (ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting || ks->inflight > 0) {
-    // Deferred deletion: the compactor or the pinned handlers finish
+  if (ks->inflight > 0) {
+    // Deferred deletion: a running job and the pinned handlers finish
     // first (paper: "deletion may be deferred due to on-going
     // compaction"). The tombstone must be durable BEFORE the ack — an
     // acknowledged drop has to stay dropped even if power dies before
@@ -1063,13 +1073,7 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   }
   KVCSD_CO_RETURN_IF_ERROR(keyspace_manager_.Erase(id));  // frees *ks
   index_cache_.EraseKeyspace(id);
-  buffers_.erase(id);
-  write_locks_.erase(id);
-  compaction_done_.erase(id);
-  commit_gates_.erase(id);
-  flush_slots_.erase(id);
-  flush_inflight_.erase(id);
-  flush_errors_.erase(id);
+  runtimes_.erase(id);
 
   if (CrashPoint("drop.before_persist")) {
     co_return Status::IoError("simulated power loss (before drop persist)");
@@ -1080,20 +1084,6 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   KVCSD_CO_RETURN_IF_ERROR(co_await keyspace_manager_.Persist());
   co_await ReleaseClustersBestEffort(std::move(doomed));
   co_return Status::Ok();
-}
-
-sim::Task<void> Device::MaybeFinishPendingDelete(Keyspace* ks) {
-  if (!ks->pending_delete || ks->inflight > 0 ||
-      ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting) {
-    co_return;
-  }
-  // Clear before the first await so concurrent callers cannot double-drop.
-  ks->pending_delete = false;
-  // FinishDrop frees *ks; name the keyspace from a copy.
-  const std::string what = "deferred drop of keyspace '" + ks->name + "'";
-  Status s = co_await FinishDrop(ks);
-  WarnDiscarded(what, s);
 }
 
 }  // namespace kvcsd::device

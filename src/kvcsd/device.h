@@ -124,6 +124,13 @@ struct SidxTuple {
   std::uint32_t vlen;
 };
 
+// SIDX order: by secondary key, ties broken by primary key. Every sort,
+// merge and fold of secondary-index tuples uses this one order.
+inline bool SidxLess(const SidxTuple& a, const SidxTuple& b) {
+  if (a.skey != b.skey) return a.skey < b.skey;
+  return a.pkey < b.pkey;
+}
+
 // Compaction observability, cumulative across every compaction and
 // secondary-index build the device has run. Byte counters cover the
 // compaction path only (KLOG parsing, TEMP spills and re-reads, value
@@ -236,6 +243,8 @@ class Device {
   // a concurrent drop defers instead of freeing the keyspace mid-await.
   sim::Task<nvme::Completion> DispatchKeyspaceCommand(nvme::Command& cmd,
                                                       Keyspace* ks);
+  // Drops one pin (a command handler, a detached flush or a background
+  // job); the last pin runs a drop that was deferred behind them.
   sim::Task<void> Unpin(Keyspace* ks);
   // Registers a pass through a named crash point; true = power is gone.
   bool CrashPoint(const char* point);
@@ -273,11 +282,40 @@ class Device {
   void ApplyDeltaMutation(Keyspace* ks, const std::string& key,
                           std::string value, std::uint64_t seq,
                           bool tombstone);
-  // Delta-index headroom bound: after a delta mutation, spawns an
+  // Delta-index headroom bound: after a delta mutation, launches an
   // incremental re-compaction when delta_index_bytes has crossed
   // config_.delta_fold_watermark_bytes (and the keyspace is idle in
   // kCompacted). Counts "device.delta.watermark_folds" per trigger.
   void MaybeRequestDeltaFold(Keyspace* ks);
+  // Under the write lock, flushes whatever is still buffered; then waits
+  // for every in-flight flush and returns — and clears — the flush
+  // failure latched since the last drain. Sync, compaction and fold all
+  // start with it.
+  sim::Task<Status> DrainWrites(Keyspace* ks);
+
+  // --- background jobs: compaction and delta fold ---
+  // A job is a full compaction (kCompacting, from EMPTY/WRITABLE) or a
+  // delta fold (kRecompacting, from COMPACTED). Both are deferred and
+  // offloaded (paper §V "Compaction"): the command asking for one
+  // completes at once and the host awaits the outcome with kCompactWait.
+  //
+  // Starts a job: moves the keyspace to `state`, pins it (a drop defers
+  // until the job ends), resets the completion event, opens the flow hop
+  // from the trigger command when `trigger_cmd_id` != 0, and spawns
+  // RunJob.
+  void LaunchJob(Keyspace* ks, KeyspaceState state,
+                 std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
+                 std::uint64_t trigger_cmd_id = 0);
+  // Runs RunCompaction or RunRecompaction inside the job's trace span. On
+  // failure it releases the body's scratch clusters (best-effort — after
+  // a power cut recovery reclaims the orphans instead), rolls the state
+  // back (EMPTY/WRITABLE after a compaction, COMPACTED with the delta
+  // intact after a fold), persists the rollback and reports the failure.
+  // Then it records last_compaction, sets the completion event — a waiter
+  // never hangs on a failed job — and unpins.
+  sim::Task<void> RunJob(Keyspace* ks, bool fold,
+                         std::vector<nvme::SecondaryIndexSpec> fused_specs,
+                         std::uint64_t trigger_cmd_id);
 
   // --- compaction (compactor.cc) ---
   // Sorts the keyspace; when `fused_specs` is non-empty, also builds those
@@ -288,18 +326,10 @@ class Device {
   // generation fans out across the CpuPool, the key merge runs on a loser
   // tree over double-buffered TEMP readers, and PIDX building + fused
   // extraction of one value batch overlaps the gather/write of the next.
-  // `trigger_cmd_id` is the causal id of the kCompact command that spawned
-  // this compaction (0 when internal); the compaction span links back to
-  // it with a flow event.
-  sim::Task<Status> CompactKeyspace(
-      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
-      std::uint64_t trigger_cmd_id = 0);
-
-  // The compaction body. `scratch` collects every cluster the compaction
-  // allocates; on failure the CompactKeyspace wrapper releases them
-  // (best-effort — after a power cut the resets fail and recovery
-  // reclaims the orphans instead) and rolls the keyspace back to
-  // WRITABLE. On success the commit point clears `scratch`.
+  //
+  // The compaction job body. `scratch` collects every cluster the
+  // compaction allocates, for RunJob to release on failure; on success
+  // the commit point clears it.
   sim::Task<Status> RunCompaction(Keyspace* ks,
                                   std::vector<nvme::SecondaryIndexSpec>
                                       fused_specs,
@@ -351,10 +381,8 @@ class Device {
   // values to fresh SORTED_VALUES clusters, adds new keys to the bloom
   // filter in place, and commits by persisting the merged table —
   // DESIGN.md §12. Queries keep reading the pre-fold state throughout,
-  // held only at the short commit gate. Failure-handling shell mirroring
-  // CompactKeyspace.
-  sim::Task<Status> RecompactKeyspace(Keyspace* ks,
-                                      std::uint64_t trigger_cmd_id = 0);
+  // held only at the short commit gate. The fold job body; `scratch` as
+  // for RunCompaction.
   sim::Task<Status> RunRecompaction(Keyspace* ks,
                                     std::vector<ClusterId>* scratch);
   // Loads a delta entry's value bytes (inline if the device never lost
@@ -467,15 +495,13 @@ class Device {
       sim::Activity act = sim::Activity::kHostRead);
 
   // --- deletion ---
-  // Defers while the keyspace is compacting or has pinned commands;
-  // otherwise completes the drop inline.
+  // Defers while the keyspace is pinned (a command handler, a detached
+  // flush or a background job); otherwise completes the drop inline.
   sim::Task<Status> DropKeyspace(Keyspace* ks);
   // The drop itself. Removes the table entry synchronously (before any
   // suspension, so no new command can find the dying keyspace), persists
   // the removal — the commit point — then releases the clusters.
   sim::Task<Status> FinishDrop(Keyspace* ks);
-  // Runs a deferred drop once the keyspace is unpinned and idle.
-  sim::Task<void> MaybeFinishPendingDelete(Keyspace* ks);
   // Releases every cluster in `ids`; a failure (NotFound after a double
   // release, I/O errors after a power cut) is only recorded as a warning.
   sim::Task<void> ReleaseClustersBestEffort(std::vector<ClusterId> ids);
@@ -499,18 +525,38 @@ class Device {
   // counters, truncating any torn tail.
   sim::Task<Status> ReplayDeltaChains(Keyspace* ks);
 
-  // Per-keyspace write serialization + compaction-completion events.
-  sim::Semaphore* WriteLock(std::uint64_t keyspace_id);
-  sim::Event* CompactionDone(std::uint64_t keyspace_id);
-  // Set when the keyspace's active_readers count drops to zero; the
-  // re-compaction commit waits on it (recompact.cc).
-  sim::Event* ReadersIdle(std::uint64_t keyspace_id);
-  // Open (set) except while a fold commits: the fold closes it, drains
-  // active_readers, installs and persists the folded state (or rolls it
-  // back), then reopens it. Queries wait on it in AwaitQueryable, and
-  // CheckMutable refuses writes (kBusy) while it is closed.
-  sim::Event* CommitGate(std::uint64_t keyspace_id);
-  bool CommitGateClosed(std::uint64_t keyspace_id) const;
+  // --- per-keyspace runtime state ---
+  // Flush pipelining: at most this many log flushes per keyspace are in
+  // flight; DrainWrites waits for them.
+  static constexpr std::uint64_t kMaxInflightFlushes = 4;
+  // Everything the device keeps per keyspace beside its table entry: DRAM
+  // only, never persisted. Created on first use by Runtime() and freed
+  // with the keyspace in FinishDrop.
+  struct KeyspaceRuntime {
+    explicit KeyspaceRuntime(sim::Simulation* sim);
+    // The DRAM write buffer; the write lock serializes every append to it
+    // and every swap of it into a flush.
+    WriteBuffer buffer;
+    sim::Semaphore write_lock;
+    sim::Semaphore flush_slots;     // kMaxInflightFlushes permits
+    sim::WaitGroup flush_inflight;  // detached FlushIo batches
+    // First flush failure since the last DrainWrites, which returns and
+    // clears it.
+    Status flush_error = Status::Ok();
+    // Set while no background job runs: LaunchJob resets it and RunJob
+    // sets it once the job — a failed one's rollback included — is over.
+    // kCompactWait waits here.
+    sim::Event job_done;
+    // Set when the keyspace's active_readers count drops to zero; a
+    // fold's commit waits on it (recompact.cc).
+    sim::Event readers_idle;
+    // Open (set) except while a fold commits: the fold closes it, drains
+    // active_readers, installs and persists the folded state (or rolls it
+    // back), then reopens it. Queries wait on it in AwaitQueryable, and
+    // CheckMutable refuses writes (kBusy) while it is closed.
+    sim::Event commit_gate;
+  };
+  KeyspaceRuntime& Runtime(const Keyspace* ks);
 
   // Applies config.stats_prefix transitively (zns.stats_prefix) before
   // the members below are constructed from config_.
@@ -539,19 +585,9 @@ class Device {
   // Wall time of the single dispatch core (MainLoop), per activity class.
   sim::ResourceMeter dispatch_meter_;
 
-  std::map<std::uint64_t, WriteBuffer> buffers_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Semaphore>> write_locks_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> compaction_done_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> readers_idle_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> commit_gates_;
-  // Flush pipelining: a bounded number of log flushes per keyspace may be
-  // in flight; compaction drains them via the wait group.
-  static constexpr std::uint64_t kMaxInflightFlushes = 4;
-  std::map<std::uint64_t, std::unique_ptr<sim::Semaphore>> flush_slots_;
-  std::map<std::uint64_t, std::unique_ptr<sim::WaitGroup>> flush_inflight_;
-  std::map<std::uint64_t, Status> flush_errors_;
-  sim::Semaphore* FlushSlots(std::uint64_t keyspace_id);
-  sim::WaitGroup* FlushInflight(std::uint64_t keyspace_id);
+  // Keyed by keyspace id; map nodes never move, so a runtime's address
+  // is stable for the keyspace's life.
+  std::map<std::uint64_t, KeyspaceRuntime> runtimes_;
   // The timed I/O part of a flush, runs detached per batch.
   sim::Task<void> FlushIo(Keyspace* ks, WriteBuffer batch);
 

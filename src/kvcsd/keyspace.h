@@ -15,6 +15,7 @@
 // index blocks the delta touches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -45,6 +46,19 @@ struct SketchEntry {
   std::uint64_t block_addr = 0;
   std::uint32_t block_len = 0;
 };
+
+// Index of the sketch block that could contain `key`: the last block whose
+// pivot (first key) is <= key. Returns sketch.size() if key precedes all.
+// Only valid when pivots are unique (primary keys); range queries over
+// secondary keys must use SketchRangeStart (query.cc) instead.
+inline std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
+                                    const std::string& key) {
+  auto it = std::upper_bound(
+      sketch.begin(), sketch.end(), key,
+      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
+  if (it == sketch.begin()) return sketch.size();  // key < first pivot
+  return static_cast<std::size_t>(it - sketch.begin()) - 1;
+}
 
 struct SecondaryIndex {
   nvme::SecondaryIndexSpec spec;
@@ -132,9 +146,10 @@ struct Keyspace {
   // completes a deferred drop a crash interrupted.
   bool pending_delete = false;
 
-  // Commands currently executing against this keyspace. A handler pins
-  // the keyspace for the span of its coroutine so a concurrent drop
-  // cannot free it mid-await; DropKeyspace defers until this drains.
+  // Pins on this keyspace: command handlers, detached log flushes and a
+  // running compaction or fold each hold one for their whole span, so a
+  // concurrent drop cannot free it mid-await; DropKeyspace defers until
+  // this drains.
   std::uint32_t inflight = 0;
 
   // Queries that passed AwaitQueryable and are reading the run, delta

@@ -252,11 +252,7 @@ sim::Task<Status> KeyspaceManager::Persist() {
       co_return Status::IoError("simulated power loss (metadata switch)");
     }
   }
-  auto addr = co_await ssd_->Append(
-      target,
-      std::span<const std::byte>(
-          reinterpret_cast<const std::byte*>(snapshot.data()),
-          snapshot.size()));
+  auto addr = co_await ssd_->Append(target, Slice(snapshot).bytes());
   KVCSD_CO_RETURN_IF_ERROR(addr.status());
   current_meta_zone_ = target;
   reset_before_append_ = false;

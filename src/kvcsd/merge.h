@@ -129,10 +129,7 @@ struct SidxMergeTraits {
     out->vlen = e.vlen;
     return true;
   }
-  static bool Less(const Entry& a, const Entry& b) {
-    if (a.skey != b.skey) return a.skey < b.skey;
-    return a.pkey < b.pkey;
-  }
+  static bool Less(const Entry& a, const Entry& b) { return SidxLess(a, b); }
 };
 
 // Streams one spilled run's entries back from flash. Owned by shared_ptr

@@ -59,19 +59,6 @@ class ReaderGuard {
   sim::Event* idle_;
 };
 
-// Index of the sketch block that could contain `key`: the last block whose
-// pivot (first key) is <= key. Returns sketch.size() if key precedes all.
-// Only valid when pivots are unique (primary keys); range queries over
-// secondary keys must use SketchRangeStart instead.
-std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
-                             const std::string& key) {
-  auto it = std::upper_bound(
-      sketch.begin(), sketch.end(), key,
-      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
-  if (it == sketch.begin()) return sketch.size();  // key < first pivot
-  return static_cast<std::size_t>(it - sketch.begin()) - 1;
-}
-
 // First block that can contain entries >= lo, correct even when several
 // consecutive blocks share the same pivot (tied secondary keys): position
 // at the FIRST block whose pivot >= lo and step back one block, since the
@@ -290,12 +277,12 @@ sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
   // it runs and wait only while its commit gate is closed. Any other
   // non-COMPACTED state is a caller error, same as before keyspaces were
   // mutable.
-  sim::Event* gate = CommitGate(ks->id);
-  if (!gate->is_set()) {
+  sim::Event& gate = Runtime(ks).commit_gate;
+  if (!gate.is_set()) {
     const Tick held = sim_->Now();
     do {
-      co_await gate->Wait();
-    } while (!gate->is_set());
+      co_await gate.Wait();
+    } while (!gate.is_set());
     stats().histogram("device.recompact.gate_ns").Record(sim_->Now() - held);
   }
   if (ks->state != KeyspaceState::kCompacted &&
@@ -310,7 +297,7 @@ sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
 sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
                                                   const std::string& key) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, ReadersIdle(ks->id));
+  ReaderGuard reader(ks, &Runtime(ks).readers_idle);
   sim::TraceSpan span(sim_, trk_query_, "point_lookup");
   // The delta index is authoritative for every key it holds — strictly
   // newer than anything in the run.
@@ -381,7 +368,7 @@ sim::Task<Status> Device::QueryPrimaryRange(
     std::vector<std::pair<std::string, std::string>>* out,
     sim::Activity act) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, ReadersIdle(ks->id));
+  ReaderGuard reader(ks, &Runtime(ks).readers_idle);
 
   // Snapshot the in-range slice of the delta (the map is key-ordered, so
   // this is already sorted). Every in-range tombstone can suppress one run
@@ -522,7 +509,7 @@ sim::Task<Status> Device::QuerySecondaryRange(
     std::vector<std::pair<std::string, std::string>>* out,
     sim::Activity act) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, ReadersIdle(ks->id));
+  ReaderGuard reader(ks, &Runtime(ks).readers_idle);
   auto sidx_it = ks->secondary_indexes.find(index_name);
   if (sidx_it == ks->secondary_indexes.end()) {
     co_return Status::NotFound("no such secondary index: " + index_name);
@@ -548,12 +535,7 @@ sim::Task<Status> Device::QuerySecondaryRange(
     if (entry.tombstone) continue;
     auto value = co_await LoadDeltaValue(entry, act);
     if (!value.ok()) co_return value.status();
-    if (sidx.spec.value_offset + sidx.spec.value_length > value->size()) {
-      co_return Status::InvalidArgument("secondary key range beyond value");
-    }
-    auto skey = nvme::EncodeSecondaryKeyBytes(
-        Slice(value->data() + sidx.spec.value_offset, sidx.spec.value_length),
-        sidx.spec);
+    auto skey = nvme::ExtractSecondaryKey(Slice(*value), sidx.spec);
     if (!skey.ok()) co_return skey.status();
     if (*skey < lo || hi < *skey) continue;
     fresh.push_back(FreshTuple{std::move(*skey), pkey, std::move(*value)});

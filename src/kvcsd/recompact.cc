@@ -61,33 +61,6 @@ namespace kvcsd::device {
 
 namespace {
 
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
-}
-
-// Last block whose pivot is <= key (PIDX: pivots unique). Returns
-// sketch.size() when the key precedes every pivot.
-std::size_t LowerBlock(const std::vector<SketchEntry>& sketch,
-                       const std::string& key) {
-  auto it = std::upper_bound(
-      sketch.begin(), sketch.end(), key,
-      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
-  if (it == sketch.begin()) return sketch.size();
-  return static_cast<std::size_t>(it - sketch.begin()) - 1;
-}
-
-// Order-preserving encoding of the secondary key bytes found in a value
-// (same extraction the compactor's fused build applies).
-Result<std::string> ExtractSkey(const Slice& value,
-                                const nvme::SecondaryIndexSpec& spec) {
-  if (spec.value_offset + spec.value_length > value.size()) {
-    return Status::InvalidArgument("secondary key range beyond value");
-  }
-  return nvme::EncodeSecondaryKeyBytes(
-      Slice(value.data() + spec.value_offset, spec.value_length), spec);
-}
-
 // One delta mutation prepared for the fold, in key order.
 struct FoldItem {
   std::string key;
@@ -121,11 +94,6 @@ Status ParsePidxBlock(const std::string& block, std::vector<PidxRec>* out,
     *fold_bytes += entry.key.size() + 12;
   }
   return Status::Ok();
-}
-
-bool SidxLess(const SidxTuple& a, const SidxTuple& b) {
-  if (a.skey != b.skey) return a.skey < b.skey;
-  return a.pkey < b.pkey;
 }
 
 std::vector<const SketchEntry*> Pointers(
@@ -190,7 +158,7 @@ class Device::FoldBlockWriter {
     co_await device_->cpu_.Compute(device_->config_.costs.io_path_overhead,
                                    sim::Activity::kRecompact);
     auto addr = co_await device_->AppendToChain(
-        chain_, type_, AsBytes(batch_), sim::Activity::kRecompact);
+        chain_, type_, Slice(batch_).bytes(), sim::Activity::kRecompact);
     if (!addr.ok()) co_return addr.status();
     device_->compaction_stats_.bytes_written += batch_.size();
     for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
@@ -225,65 +193,13 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
   co_return std::move((*values)[0]);
 }
 
-// Failure-handling shell mirroring CompactKeyspace: scratch clusters are
-// released on any failure and the keyspace rolls back to COMPACTED with
-// its delta untouched, so the mutations stay pending rather than lost.
-sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
-                                            std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, "recompact");
-  span.Arg("keyspace", ks->name);
-  span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
-  if (trigger_cmd_id != 0) {
-    span.Arg("trigger_cmd_id", trigger_cmd_id);
-    if (sim_->tracer().enabled()) {
-      sim_->tracer().FlowEnd(sim_->tracer().Track(trk_compaction_), "compact",
-                             trigger_cmd_id, sim_->Now());
-    }
-  }
-  ++compactions_running_;
-  std::vector<ClusterId> scratch;
-  Status result = co_await RunRecompaction(ks, &scratch);
-  --compactions_running_;
-  if (!result.ok()) {
-    co_await ReleaseClustersBestEffort(std::move(scratch));
-    if (ks->state == KeyspaceState::kRecompacting) {
-      ks->state = KeyspaceState::kCompacted;
-    }
-    if (faults_ == nullptr || !faults_->crashed()) {
-      // Durable rollback, so a later crash cannot resurrect RECOMPACTING.
-      // Best-effort: recovery also rolls the on-flash state back.
-      Status persisted = co_await keyspace_manager_.Persist();
-      WarnDiscarded("rollback persist of keyspace '" + ks->name + "'",
-                    persisted);
-    }
-    ReportBackgroundFailure("fold", *ks, result);
-  }
-  ks->last_compaction = result;
-  CompactionDone(ks->id)->Set();
-  co_await MaybeFinishPendingDelete(ks);
-  co_return result;
-}
-
 sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                           std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
   // Flush the buffered tail of the delta and drain in-flight flush I/O:
   // the fold must observe the complete delta log (and the durable log
   // extent must match what the fold consumes, for recovery's sake).
-  {
-    sim::Semaphore* lock = WriteLock(ks->id);
-    co_await lock->Acquire();
-    Status s = co_await FlushBuffer(ks);
-    lock->Release();
-    if (!s.ok()) co_return s;
-    co_await FlushInflight(ks->id)->Wait();
-    if (auto it = flush_errors_.find(ks->id);
-        it != flush_errors_.end() && !it->second.ok()) {
-      Status err = it->second;
-      it->second = Status::Ok();
-      co_return err;
-    }
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
 
   // Make RECOMPACTING and the final delta-log extents durable before any
   // output is written: recovery must know to roll this keyspace back to
@@ -335,7 +251,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
       auto addr = co_await AppendToChain(&new_value_clusters,
                                          ZoneType::kSortedValues,
-                                         AsBytes(chunk), sim::Activity::kRecompact);
+                                         Slice(chunk).bytes(),
+                                         sim::Activity::kRecompact);
       if (!addr.ok()) co_return addr.status();
       compaction_stats_.bytes_written += chunk.size();
       std::uint64_t offset = 0;
@@ -377,7 +294,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       orphan_items.push_back(&item);
       continue;
     }
-    std::size_t pos = LowerBlock(old_sketch, item.key);
+    std::size_t pos = SketchLowerBlock(old_sketch, item.key);
     if (pos >= old_sketch.size()) pos = 0;
     per_block[pos].push_back(&item);
   }
@@ -507,7 +424,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     std::vector<SidxTuple> fresh;
     for (const FoldItem& item : items) {
       if (item.tombstone) continue;
-      auto skey = ExtractSkey(Slice(item.value), sidx.spec);
+      auto skey = nvme::ExtractSecondaryKey(Slice(item.value), sidx.spec);
       if (!skey.ok()) co_return skey.status();
       fresh.push_back(SidxTuple{
           std::move(*skey), item.key, item.new_addr,
@@ -683,13 +600,13 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // below swaps clusters and sketches a running scan may be
   // dereferencing. Queries arriving from here wait in AwaitQueryable
   // (and writes bounce kBusy) until the persist or its rollback is done.
-  sim::Event* gate = CommitGate(ks->id);
+  KeyspaceRuntime& rt = Runtime(ks);
+  sim::Event* gate = &rt.commit_gate;
   gate->Reset();
   while (ks->active_readers > 0) {
-    sim::Event* idle = ReadersIdle(ks->id);
-    idle->Reset();
+    rt.readers_idle.Reset();
     if (ks->active_readers == 0) break;
-    co_await idle->Wait();
+    co_await rt.readers_idle.Wait();
   }
 
   if (CrashPoint("recompact.before_commit")) {
@@ -798,7 +715,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       sidx.sidx_clusters = std::move(old_sidx[name].first);
       sidx.sketch = std::move(old_sidx[name].second);
     }
-    ks->state = KeyspaceState::kRecompacting;  // wrapper rolls back
+    ks->state = KeyspaceState::kRecompacting;  // RunJob rolls back
     gate->Set();  // readers resume on the restored pre-fold state
     co_return commit;
   }

@@ -52,10 +52,7 @@ sim::Task<Status> TruncateZoneTail(storage::ZnsSsd* ssd, std::uint32_t zone,
   }
   KVCSD_CO_RETURN_IF_ERROR(co_await ssd->Reset(zone));
   if (keep > 0) {
-    auto addr = co_await ssd->Append(
-        zone, std::span<const std::byte>(
-                  reinterpret_cast<const std::byte*>(survivor.data()),
-                  survivor.size()));
+    auto addr = co_await ssd->Append(zone, Slice(survivor).bytes());
     KVCSD_CO_RETURN_IF_ERROR(addr.status());
   }
   co_return Status::Ok();

@@ -99,4 +99,17 @@ inline Result<std::string> EncodeSecondaryKeyBytes(
   return Status::InvalidArgument("unknown secondary key type");
 }
 
+// Extracts the secondary key a stored value carries at the spec's offset
+// and order-encodes it: the one extraction behind index builds, folds and
+// delta-merged secondary scans. The spec comes from the host, so the
+// bound is checked in 64 bits, where offset + length cannot wrap.
+inline Result<std::string> ExtractSecondaryKey(const Slice& value,
+                                               const SecondaryIndexSpec& spec) {
+  if (std::uint64_t{spec.value_offset} + spec.value_length > value.size()) {
+    return Status::InvalidArgument("secondary key range beyond value");
+  }
+  return EncodeSecondaryKeyBytes(
+      Slice(value.data() + spec.value_offset, spec.value_length), spec);
+}
+
 }  // namespace kvcsd::nvme

@@ -101,6 +101,35 @@ TEST(FusedIndexTest, CompactWithIndexesBuildsEverythingInOnePass) {
   }(&f.db));
 }
 
+// A secondary-index spec whose offset + length wraps past 2^32 must be
+// rejected, not turned into a read far outside the value: the fused
+// compaction fails with InvalidArgument (and rolls back), and so does a
+// separate index build over the compacted keyspace.
+TEST(FusedIndexTest, WrappingSpecIsRejected) {
+  Fixture f;
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = (co_await db->CreateKeyspace("wrap")).value();
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(i), Fixture::EnergyValue(static_cast<float>(i))));
+    }
+    nvme::SecondaryIndexSpec wrap;
+    wrap.name = "wrap";
+    wrap.value_offset = 0xFFFFFFFEu;  // + 4 wraps to 2, inside the value
+    wrap.value_length = 4;
+    wrap.type = nvme::SecondaryKeyType::kF32;
+    std::vector<nvme::SecondaryIndexSpec> specs;
+    specs.push_back(wrap);
+    KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(std::move(specs)));
+    KVCSD_CO_ASSERT((co_await ks.WaitCompaction()).code() ==
+                    StatusCode::kInvalidArgument);
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    KVCSD_CO_ASSERT((co_await ks.CreateSecondaryIndex(wrap)).code() ==
+                    StatusCode::kInvalidArgument);
+  }(&f.db));
+}
+
 TEST(FusedIndexTest, FusedAvoidsKeyspaceReRead) {
   // The whole point of the fused pass: building the index separately
   // re-reads every value from flash; fused extraction does not.

@@ -768,6 +768,90 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
   }(&db, &dev, &sim));
 }
 
+// A watermark-triggered fold that fails — an append error in its write
+// drain — is reported like a host-requested one: WaitCompaction returns the
+// error, "device.background.failures" counts it, and the keyspace is back
+// in COMPACTED and writable with its delta pending. That delta is still
+// over the watermark, so the next write crosses it again and that fold
+// commits.
+TEST(MutabilityTest, FailedWatermarkFoldRetriesAtNextCrossing) {
+  constexpr std::uint64_t kWatermark = 1024;
+  constexpr std::uint64_t kKeys = 200;
+  sim::Simulation sim;
+  sim::FaultInjector faults{5};
+  DeviceConfig cfg = SmallDevice();
+  cfg.zns.faults = &faults;
+  cfg.delta_fold_watermark_bytes = kWatermark;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+
+  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
+                           sim::Simulation* simp,
+                           sim::FaultInjector* fi) -> sim::Task<void> {
+    auto folds = [simp] {
+      return simp->stats().counter_value("device.delta.watermark_folds");
+    };
+    auto failures = [simp] {
+      return simp->stats().counter_value("device.background.failures");
+    };
+    auto ks = (co_await dbp->CreateKeyspace("wm")).value();
+    std::vector<std::pair<std::string, std::string>> model;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      std::string value = "base-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), value));
+      model.emplace_back(MakeFixedKey(i), std::move(value));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+    // The delta overwrites stay in the write buffer, so the first append
+    // from here is the fold's drain flushing them.
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kAppend;
+    rule.times = 1;
+    fi->AddErrorRule(rule);
+    std::uint64_t i = 0;
+    while (folds() == 0) {
+      KVCSD_CO_ASSERT(i < kKeys);  // the watermark must trip well before
+      model[i].second = "delta-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
+      ++i;
+    }
+    const Status failed = co_await ks.WaitCompaction();
+    KVCSD_CO_ASSERT(failed.code() == StatusCode::kIoError);
+    KVCSD_CO_ASSERT(fi->errors_injected() == 1);
+    KVCSD_CO_ASSERT(failures() == 1);
+    KVCSD_CO_ASSERT(devp->BuildHealthPage().Gauge(
+                        "device.background.failures") == 1);
+    auto stat = co_await ks.GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->state == "COMPACTED");
+    KVCSD_CO_ASSERT(devp->BuildHealthPage().Gauge(
+                        "device.delta.index_bytes") >= kWatermark);
+
+    // Writable again; the write crosses the watermark once more, and this
+    // fold drains the re-queued batch and commits.
+    model[i].second = "retry-" + std::to_string(i);
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
+    KVCSD_CO_ASSERT(folds() == 2);
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    KVCSD_CO_ASSERT(failures() == 1);
+    stat = co_await ks.GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->state == "COMPACTED");
+    KVCSD_CO_ASSERT(stat->num_kvs == kKeys);
+    KVCSD_CO_ASSERT(devp->BuildHealthPage().Gauge(
+                        "device.delta.index_bytes") == 0);
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(rows.size() == kKeys);
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
+  }(&db, &dev, &sim, &faults));
+}
+
 // --------------------------------------------------------------------------
 // Fold output is pinned: batching the fold's index appends and reading its
 // blocks through a read-ahead window must not move a single block

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -313,39 +314,111 @@ TEST(RecoveryTest, MidCompactionRestartIsDeterministic) {
   EXPECT_EQ(recovered, reference);
 }
 
-// A transient flush failure is surfaced by exactly one Sync, then
-// cleared; SyncWithRetry rides over it.
-TEST(RecoveryTest, FlushErrorSurfacesOnceThenClears) {
+// One write drain, three callers: Sync, a full compaction and a delta
+// fold all start by draining the write buffer. A transient append error
+// injected into that drain's flush is surfaced exactly once — by the Sync,
+// or by WaitCompaction for the two background jobs, which roll their state
+// back — then cleared: the next Sync succeeds, the retried job commits
+// with every key readable, and SyncWithRetry rides over another failure.
+enum class DrainCaller { kSync, kCompaction, kFold };
+
+const char* DrainCallerName(DrainCaller caller) {
+  switch (caller) {
+    case DrainCaller::kSync:
+      return "sync";
+    case DrainCaller::kCompaction:
+      return "compaction";
+    case DrainCaller::kFold:
+      return "fold";
+  }
+  return "unknown";
+}
+
+void PrintTo(DrainCaller caller, std::ostream* os) {
+  *os << DrainCallerName(caller);
+}
+
+class DrainRecoveryTest : public ::testing::TestWithParam<DrainCaller> {};
+
+TEST_P(DrainRecoveryTest, FlushErrorSurfacesOnceThenClears) {
   PowerCycleFixture f;
   testutil::RunSim(
       f.sim,
-      [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
+      [](client::Client* db, Device* dev, sim::FaultInjector* faults,
+         DrainCaller caller) -> sim::Task<void> {
+        constexpr std::uint64_t kKeys = 40;
+        constexpr std::uint64_t kTail = 5;  // buffered overwrites
         auto ks = co_await db->CreateKeyspace("sticky");
         KVCSD_CO_ASSERT_OK(ks);
-        KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(1), "v1"));
-        // One injected append failure: the flush kicked off by the next
-        // Sync fails and latches the error.
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+          KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), DetValue(i)));
+        }
+        KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+        if (caller == DrainCaller::kFold) {
+          KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+          KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+        }
+        // Overwrites that stay in the write buffer until the drain.
+        for (std::uint64_t i = 0; i < kTail; ++i) {
+          KVCSD_CO_ASSERT_OK(
+              co_await ks->Put(MakeFixedKey(i), "tail-" + std::to_string(i)));
+        }
+        // One injected append failure: the drain's flush fails and
+        // latches the error.
         sim::ErrorRule rule;
         rule.op = sim::FaultOp::kAppend;
         rule.times = 1;
         faults->AddErrorRule(rule);
-        Status first = co_await ks->Sync();
-        KVCSD_CO_ASSERT(!first.ok());
-        KVCSD_CO_ASSERT(first.IsRetryable());
-        // Surfaced once; a later sync with healthy flushes succeeds
-        // instead of failing forever on the stale latched error.
-        KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(2), "v2"));
+        Status failed = Status::Ok();
+        if (caller == DrainCaller::kSync) {
+          failed = co_await ks->Sync();
+        } else {
+          KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+          failed = co_await ks->WaitCompaction();
+        }
+        KVCSD_CO_ASSERT(!failed.ok());
+        KVCSD_CO_ASSERT(failed.IsRetryable());
+        KVCSD_CO_ASSERT(faults->errors_injected() == 1);
+        auto stat = co_await ks->GetStat();
+        KVCSD_CO_ASSERT_OK(stat);
+        KVCSD_CO_ASSERT(stat->state == (caller == DrainCaller::kFold
+                                            ? "COMPACTED"
+                                            : "WRITABLE"));
+        KVCSD_CO_ASSERT(
+            dev->stats().counter_value("device.background.failures") ==
+            (caller == DrainCaller::kSync ? 0u : 1u));
+
+        // Surfaced once: the drain cleared the latched error, so the next
+        // Sync re-flushes the re-queued batch and succeeds instead of
+        // failing forever on a stale error.
         KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+        // The retried job (for Sync, the first compaction) commits.
+        KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+        KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+          auto got = co_await ks->Get(MakeFixedKey(i));
+          KVCSD_CO_ASSERT_OK(got);
+          KVCSD_CO_ASSERT(*got == (i < kTail ? "tail-" + std::to_string(i)
+                                             : DetValue(i)));
+        }
 
         // SyncWithRetry hides the transient failure entirely.
         sim::ErrorRule again;
         again.op = sim::FaultOp::kAppend;
         again.times = 1;
         faults->AddErrorRule(again);
-        KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(3), "v3"));
+        KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(kKeys), "v"));
         KVCSD_CO_ASSERT_OK(co_await ks->SyncWithRetry(3));
-      }(f.db.get(), &f.faults));
+      }(f.db.get(), f.dev(), &f.faults, GetParam()));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WriteDrain, DrainRecoveryTest,
+    ::testing::Values(DrainCaller::kSync, DrainCaller::kCompaction,
+                      DrainCaller::kFold),
+    [](const ::testing::TestParamInfo<DrainCaller>& p) -> std::string {
+      return DrainCallerName(p.param);
+    });
 
 // A flush batch that fails on an injected I/O error is re-queued into
 // the write buffer: the failed Sync surfaces the error, the retried Sync
@@ -453,6 +526,51 @@ TEST(RecoveryTest, DropDuringInflightTrafficDefers) {
     auto gone2 = co_await db->OpenKeyspace("dropme2");
     KVCSD_CO_ASSERT(gone2.status().code() == StatusCode::kNotFound);
   }(f.db.get()));
+}
+
+// A compaction's state already reads COMPACTED while its commit persist
+// is in flight. A drop landing in that window must still defer behind the
+// job: here the commit persist fails 200 us in and the job rolls back
+// before the deferred drop runs, so the job never touches a freed
+// keyspace and its failure still reaches WaitCompaction.
+TEST(RecoveryTest, DropDuringCommitPersistDefersBehindJob) {
+  PowerCycleFixture f;
+  testutil::RunSim(
+      f.sim,
+      [](client::Client* db, Device* dev, sim::FaultInjector* faults,
+         sim::Simulation* sim) -> sim::Task<void> {
+        auto ks = co_await db->CreateKeyspace("late");
+        KVCSD_CO_ASSERT_OK(ks);
+        for (std::uint64_t i = 0; i < 200; ++i) {
+          KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), DetValue(i)));
+        }
+        KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+        // The compaction persists twice: COMPACTING first (let through),
+        // then the commit, which fails 200 us after it is issued.
+        sim::ErrorRule rule;
+        rule.op = sim::FaultOp::kAppend;
+        rule.zone = dev->keyspaces().current_meta_zone();
+        rule.skip = 1;
+        rule.times = 1;
+        rule.latency = Microseconds(200);
+        faults->AddErrorRule(rule);
+        KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+        for (;;) {
+          auto stat = co_await ks->GetStat();
+          KVCSD_CO_ASSERT_OK(stat);
+          if (stat->state == "COMPACTED") break;  // commit persist issued
+          KVCSD_CO_ASSERT(stat->state == "COMPACTING");
+          co_await sim->Delay(Microseconds(2));
+        }
+        KVCSD_CO_ASSERT_OK(co_await db->DropKeyspace("late"));
+        // Deferred: the keyspace is still there to report its job.
+        const Status job = co_await ks->WaitCompaction();
+        KVCSD_CO_ASSERT(job.code() == StatusCode::kIoError);
+        KVCSD_CO_ASSERT(
+            dev->stats().counter_value("device.background.failures") == 1);
+        auto gone = co_await db->OpenKeyspace("late");
+        KVCSD_CO_ASSERT(gone.status().code() == StatusCode::kNotFound);
+      }(f.db.get(), f.dev(), &f.faults, &f.sim));
 }
 
 // Unknown opcodes complete with Unimplemented, never silent OK — even
