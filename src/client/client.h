@@ -152,7 +152,8 @@ class KeyspaceHandle {
 
   // Blind point delete: writes a tombstone; deleting an absent key is Ok.
   // Valid while the keyspace is WRITABLE and after compaction (delta
-  // mode); kBusy while a (re)compaction is running.
+  // mode, also while a fold runs); kBusy during the first compaction, or
+  // when a fold's delta index is at its DRAM bound.
   sim::Task<Status> Delete(const std::string& key);
   sim::Task<StatusFuture> DeleteAsync(const std::string& key);
 

@@ -38,6 +38,12 @@ bool IsKeyspaceScoped(nvme::Opcode op) {
   }
 }
 
+// Mutations of a keyspace in these states go to the delta index.
+bool DeltaMode(const Keyspace& ks) {
+  return ks.state == KeyspaceState::kCompacted ||
+         ks.state == KeyspaceState::kRecompacting;
+}
+
 }  // namespace
 
 DeviceConfig Device::Prefixed(DeviceConfig config) {
@@ -122,8 +128,10 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
     out->emplace_back(prefix + "state",
                       static_cast<std::uint64_t>(ks->state));
     out->emplace_back(prefix + "num_kvs", ks->num_kvs);
-    out->emplace_back(prefix + "klog_bytes", ks->klog_bytes);
-    out->emplace_back(prefix + "vlog_bytes", ks->vlog_bytes);
+    out->emplace_back(prefix + "klog_bytes",
+                      ks->sealed_klog_bytes + ks->klog_bytes);
+    out->emplace_back(prefix + "vlog_bytes",
+                      ks->sealed_vlog_bytes + ks->vlog_bytes);
     auto rt = runtimes_.find(id);
     out->emplace_back(prefix + "buffer_bytes",
                       rt == runtimes_.end() ? 0 : rt->second.buffer.bytes);
@@ -463,8 +471,13 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
           ks->state == KeyspaceState::kCompacted) {
         // Re-compaction: fold the delta log into the existing sorted run
         // incrementally (DESIGN.md §12) instead of re-sorting everything.
-        // No delta: nothing to fold.
-        if (!ks->delta_index.empty()) {
+        // No delta: nothing to fold. A job still running here is a fold
+        // in its commit window (the state already reads COMPACTED); a
+        // second fold must not start beside it.
+        if (!Runtime(ks).job_done.is_set()) {
+          out.status = Status::FailedPrecondition(
+              "a fold is still committing; wait for it first");
+        } else if (!ks->delta_index.empty()) {
           LaunchJob(ks, KeyspaceState::kRecompacting, {}, cmd.cmd_id);
         }
       } else if (ks->state == KeyspaceState::kWritable ||
@@ -553,7 +566,8 @@ sim::Task<void> Device::Unpin(Keyspace* ks) {
 
 sim::Task<Result<std::uint64_t>> Device::AppendToChain(
     std::vector<ClusterId>* chain, ZoneType type,
-    std::span<const std::byte> data, sim::Activity act) {
+    std::span<const std::byte> data, sim::Activity act,
+    std::vector<ClusterId>* scratch) {
   if (!chain->empty()) {
     auto addr = co_await zone_manager_.Append(chain->back(), data, act);
     if (addr.ok() || addr.status().code() != StatusCode::kOutOfSpace) {
@@ -563,6 +577,7 @@ sim::Task<Result<std::uint64_t>> Device::AppendToChain(
   auto cluster = zone_manager_.AllocateCluster(type);
   if (!cluster.ok()) co_return cluster.status();
   chain->push_back(*cluster);
+  if (scratch != nullptr) scratch->push_back(*cluster);
   co_return co_await zone_manager_.Append(*cluster, data, act);
 }
 
@@ -570,19 +585,25 @@ Status Device::CheckMutable(Keyspace* ks) const {
   switch (ks->state) {
     case KeyspaceState::kEmpty:
     case KeyspaceState::kWritable:
-    case KeyspaceState::kCompacted:  // delta mode: mutations land in a
-                                     // fresh KLOG/VLOG log beside the run
-      // A closed commit gate means a fold is persisting its commit (the
-      // state already reads COMPACTED); a write now could be rolled back
-      // with it. Looked up without creating: a keyspace with no runtime
-      // yet has never folded, so its gate is open.
-      if (auto rt = runtimes_.find(ks->id);
-          rt != runtimes_.end() && !rt->second.commit_gate.is_set()) {
-        return Status::Busy("keyspace is committing a fold; retry");
+      return Status::Ok();
+    case KeyspaceState::kCompacted:
+    case KeyspaceState::kRecompacting: {
+      // Delta mode. A running fold — RECOMPACTING, or COMPACTED in its
+      // commit window — sealed the generation it folds, so writes land in
+      // the live one and nothing the commit or a rollback does touches
+      // them. Both generations share delta_index, so a write bounces only
+      // at its DRAM bound: twice the fold watermark. Looked up without
+      // creating: a keyspace with no runtime has never run a job.
+      const std::uint64_t bound = 2 * config_.delta_fold_watermark_bytes;
+      if (bound != 0 && ks->delta_index_bytes >= bound) {
+        if (auto rt = runtimes_.find(ks->id);
+            rt != runtimes_.end() && !rt->second.job_done.is_set()) {
+          return Status::Busy("delta index at its bound during a fold; retry");
+        }
       }
       return Status::Ok();
+    }
     case KeyspaceState::kCompacting:
-    case KeyspaceState::kRecompacting:
       // The compactor owns the logs right now; the host retries once the
       // keyspace settles (kBusy is retryable, unlike the old blanket
       // FailedPrecondition).
@@ -622,9 +643,13 @@ void Device::ApplyDeltaMutation(Keyspace* ks, const std::string& key,
 // so the DRAM it occupies stays bounded no matter how long the host defers
 // an explicit re-compaction. Called after the write lock is released (the
 // fold re-acquires it); a no-op while a fold or drop is already pending.
+// The job check matters in a fold's commit window: the state already
+// reads COMPACTED there, and a write admitted in it must not start a
+// second fold beside the committing one.
 void Device::MaybeRequestDeltaFold(Keyspace* ks) {
   if (config_.delta_fold_watermark_bytes == 0) return;
   if (ks->state != KeyspaceState::kCompacted) return;
+  if (!Runtime(ks).job_done.is_set()) return;
   if (ks->pending_delete || ks->delta_index.empty()) return;
   if (ks->delta_index_bytes < config_.delta_fold_watermark_bytes) return;
   stats().counter("device.delta.watermark_folds").Increment();
@@ -639,18 +664,20 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
   LaunchJob(ks, KeyspaceState::kRecompacting);
 }
 
-sim::Task<Status> Device::DrainWrites(Keyspace* ks) {
+sim::Task<Status> Device::DrainWrites(Keyspace* ks, bool keep_lock) {
   KeyspaceRuntime& rt = Runtime(ks);
   co_await rt.write_lock.Acquire();
   Status s = co_await FlushBuffer(ks);
-  rt.write_lock.Release();
+  if (!keep_lock || !s.ok()) rt.write_lock.Release();
   KVCSD_CO_RETURN_IF_ERROR(s);
   co_await rt.flush_inflight.Wait();
   // Surface the flush failure once, then clear it: FlushIo re-queued the
   // failed batch into the write buffer, so the next drain re-flushes the
   // data for real instead of failing forever on a stale latched error
   // (or, worse, persisting an empty buffer).
-  co_return std::exchange(rt.flush_error, Status::Ok());
+  s = std::exchange(rt.flush_error, Status::Ok());
+  if (keep_lock && !s.ok()) rt.write_lock.Release();
+  co_return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -704,6 +731,20 @@ sim::Task<void> Device::RunJob(
   --compactions_running_;
   if (!result.ok()) {
     co_await ReleaseClustersBestEffort(std::move(scratch));
+    if (fold) {
+      // The sealed generation goes back in front of the live one. The
+      // delta index never dropped an entry, so nothing else rolls back.
+      ks->klog_clusters.insert(ks->klog_clusters.begin(),
+                               ks->sealed_klog_clusters.begin(),
+                               ks->sealed_klog_clusters.end());
+      ks->vlog_clusters.insert(ks->vlog_clusters.begin(),
+                               ks->sealed_vlog_clusters.begin(),
+                               ks->sealed_vlog_clusters.end());
+      ks->sealed_klog_clusters.clear();
+      ks->sealed_vlog_clusters.clear();
+      ks->klog_bytes += std::exchange(ks->sealed_klog_bytes, 0);
+      ks->vlog_bytes += std::exchange(ks->sealed_vlog_bytes, 0);
+    }
     if (fold && ks->state == KeyspaceState::kRecompacting) {
       ks->state = KeyspaceState::kCompacted;  // delta still pending
     } else if (!fold && ks->state == KeyspaceState::kCompacting) {
@@ -733,9 +774,8 @@ sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
   KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
   KeyspaceRuntime& rt = Runtime(ks);
   co_await rt.write_lock.Acquire();
-  // Re-check under the lock: a re-compaction can start while this command
-  // waits for the lock, and a mutation admitted past its delta snapshot
-  // would be silently dropped by the fold's commit.
+  // Re-check under the lock: a compaction can start, or a fold's delta
+  // reach its bound, while this command waits for the lock.
   if (Status admit = CheckMutable(ks); !admit.ok()) {
     rt.write_lock.Release();
     co_return admit;
@@ -748,7 +788,7 @@ sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
   if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
   if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
   const std::uint64_t seq = ks->next_seq++;
-  if (ks->state == KeyspaceState::kCompacted) {
+  if (DeltaMode(*ks)) {
     ApplyDeltaMutation(ks, key, value, seq, /*tombstone=*/false);
   } else {
     ++ks->num_kvs;
@@ -786,7 +826,7 @@ sim::Task<Status> Device::DoDelete(Keyspace* ks, std::string key) {
   WriteBuffer& buffer = rt.buffer;
   buffer.bytes += key.size();
   const std::uint64_t seq = ks->next_seq++;
-  if (ks->state == KeyspaceState::kCompacted) {
+  if (DeltaMode(*ks)) {
     ApplyDeltaMutation(ks, key, std::string(), seq, /*tombstone=*/true);
   } else {
     // WRITABLE: num_kvs counts log records (replay recomputes the same);
@@ -845,7 +885,7 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
       ks->max_key = key.ToString();
     }
     const std::uint64_t seq = ks->next_seq++;
-    if (ks->state == KeyspaceState::kCompacted) {
+    if (DeltaMode(*ks)) {
       ApplyDeltaMutation(ks, key.ToString(), value.ToString(), seq,
                          /*tombstone=*/false);
     } else {
@@ -983,15 +1023,15 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
 // Explicit "fsync" (paper §VI): persists whatever PUTs are still sitting
 // in the keyspace's DRAM write buffer, waits for the log I/O to land, and
 // commits the cluster references to the metadata zone — only then is the
-// data guaranteed to survive a power cut.
+// data guaranteed to survive a power cut. During a fold the snapshot lists
+// the sealed and live delta chains, so a crash rolls the fold back and
+// replays both; inside its commit window Persist waits for the commit (or
+// its rollback) before serializing, never capturing an uncommitted install.
 sim::Task<Status> Device::DoSync(Keyspace* ks) {
-  if (ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting ||
-      !Runtime(ks).commit_gate.is_set()) {
+  if (ks->state == KeyspaceState::kCompacting) {
     // The compactor owns the logs and drained every flush before taking
     // over; mutations have been rejected (kBusy) since, so there is
-    // nothing buffered to persist — and a snapshot taken while a fold
-    // commits would capture state its rollback may still undo.
+    // nothing buffered to persist.
     co_return Status::Ok();
   }
   KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));

@@ -251,11 +251,14 @@ class Device {
 
   // Appends to the last cluster of `chain`, allocating a new cluster of
   // `type` when full. `act` attributes the NAND channel time (host-write
-  // for log flushes, compact/recompact for the background folds).
+  // for log flushes, compact/recompact for the background folds). A
+  // cluster allocated here also joins `*scratch` when given: a job's
+  // outputs are then released on failure however far their stage got.
   sim::Task<Result<std::uint64_t>> AppendToChain(
       std::vector<ClusterId>* chain, ZoneType type,
       std::span<const std::byte> data,
-      sim::Activity act = sim::Activity::kOther);
+      sim::Activity act = sim::Activity::kOther,
+      std::vector<ClusterId>* scratch = nullptr);
 
   // --- write path ---
   struct WriteEntry {
@@ -271,11 +274,14 @@ class Device {
   sim::Task<Status> DoPut(Keyspace* ks, std::string key, std::string value);
   sim::Task<Status> DoBulkPut(Keyspace* ks, const std::string& frame);
   // Point DELETE: a tombstone record in the (delta) log. Blind — deleting
-  // an absent key is Ok. kBusy while a (re)compaction owns the logs.
+  // an absent key is Ok. Admitted as CheckMutable says.
   sim::Task<Status> DoDelete(Keyspace* ks, std::string key);
   sim::Task<Status> FlushBuffer(Keyspace* ks);
-  // Shared admission for PUT/DELETE: promotes EMPTY, accepts WRITABLE and
-  // COMPACTED (delta mode), rejects (kBusy) during (re)compaction.
+  // Shared admission for PUT/DELETE/bulk: accepts EMPTY, WRITABLE,
+  // COMPACTED and RECOMPACTING (delta mode: during a fold writes land in
+  // the live generation beside the sealed one). Rejects (kBusy) during
+  // the first compaction, and while a fold runs once the delta index has
+  // reached twice delta_fold_watermark_bytes — its DRAM bound.
   Status CheckMutable(Keyspace* ks) const;
   // Records one mutation in the COMPACTED delta index (newest wins) and
   // refreshes num_kvs from run_entries + delta_live.
@@ -284,14 +290,17 @@ class Device {
                           bool tombstone);
   // Delta-index headroom bound: after a delta mutation, launches an
   // incremental re-compaction when delta_index_bytes has crossed
-  // config_.delta_fold_watermark_bytes (and the keyspace is idle in
-  // kCompacted). Counts "device.delta.watermark_folds" per trigger.
+  // config_.delta_fold_watermark_bytes (and the keyspace is COMPACTED
+  // with no job running). Counts "device.delta.watermark_folds" per
+  // trigger.
   void MaybeRequestDeltaFold(Keyspace* ks);
   // Under the write lock, flushes whatever is still buffered; then waits
   // for every in-flight flush and returns — and clears — the flush
   // failure latched since the last drain. Sync, compaction and fold all
-  // start with it.
-  sim::Task<Status> DrainWrites(Keyspace* ks);
+  // start with it. With `keep_lock` the lock is held across the wait and,
+  // on success, handed to the caller to release: no write slips in
+  // between the drain and what the caller does next.
+  sim::Task<Status> DrainWrites(Keyspace* ks, bool keep_lock = false);
 
   // --- background jobs: compaction and delta fold ---
   // A job is a full compaction (kCompacting, from EMPTY/WRITABLE) or a
@@ -309,8 +318,9 @@ class Device {
   // Runs RunCompaction or RunRecompaction inside the job's trace span. On
   // failure it releases the body's scratch clusters (best-effort — after
   // a power cut recovery reclaims the orphans instead), rolls the state
-  // back (EMPTY/WRITABLE after a compaction, COMPACTED with the delta
-  // intact after a fold), persists the rollback and reports the failure.
+  // back (EMPTY/WRITABLE after a compaction; COMPACTED after a fold, with
+  // the sealed delta chains put back in front of the live ones), persists
+  // the rollback and reports the failure.
   // Then it records last_compaction, sets the completion event — a waiter
   // never hangs on a failed job — and unpins.
   sim::Task<void> RunJob(Keyspace* ks, bool fold,
@@ -376,13 +386,14 @@ class Device {
 
   // --- incremental re-compaction (recompact.cc) ---
   // Folds a COMPACTED keyspace's delta into the existing sorted run:
-  // rewrites only the PIDX/SIDX blocks the delta keys touch (untouched
-  // blocks stay in place, their old clusters retained), appends the delta
-  // values to fresh SORTED_VALUES clusters, adds new keys to the bloom
-  // filter in place, and commits by persisting the merged table —
-  // DESIGN.md §12. Queries keep reading the pre-fold state throughout,
-  // held only at the short commit gate. The fold job body; `scratch` as
-  // for RunCompaction.
+  // seals the delta, rewrites only the PIDX/SIDX blocks the sealed keys
+  // touch (untouched blocks stay in place, their old clusters retained),
+  // appends the sealed values to fresh SORTED_VALUES clusters, adds new
+  // keys to the bloom filter in place, and commits by persisting the
+  // merged table — DESIGN.md §12. Writes land in the live delta
+  // generation throughout; queries keep reading the pre-fold state, held
+  // only at the short commit gate. The fold job body; `scratch` as for
+  // RunCompaction.
   sim::Task<Status> RunRecompaction(Keyspace* ks,
                                     std::vector<ClusterId>* scratch);
   // Loads a delta entry's value bytes (inline if the device never lost
@@ -398,6 +409,10 @@ class Device {
   class FoldBlockWriter;
 
   // --- explicit persistence ---
+  // Drains the write buffer and persists the table. Ok at once during the
+  // first compaction (it drained the logs and bounces writes); during a
+  // fold the snapshot lists the sealed and live chains, and inside a
+  // fold's commit window Persist waits for the commit to finish first.
   sim::Task<Status> DoSync(Keyspace* ks);
 
   // --- queries (query.cc) ---
@@ -552,8 +567,9 @@ class Device {
     sim::Event readers_idle;
     // Open (set) except while a fold commits: the fold closes it, drains
     // active_readers, installs and persists the folded state (or rolls it
-    // back), then reopens it. Queries wait on it in AwaitQueryable, and
-    // CheckMutable refuses writes (kBusy) while it is closed.
+    // back), then reopens it. Queries wait on it in AwaitQueryable; writes
+    // never do — they land in the live delta generation, which the commit
+    // leaves alone.
     sim::Event commit_gate;
   };
   KeyspaceRuntime& Runtime(const Keyspace* ks);

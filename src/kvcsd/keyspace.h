@@ -12,7 +12,9 @@
 // empty right after compaction) with an in-DRAM per-key delta index for
 // merged reads. kCompact on a COMPACTED keyspace folds the delta back
 // into the sorted run incrementally (RECOMPACTING), rewriting only the
-// index blocks the delta touches.
+// index blocks the delta touches. The fold seals the delta at its start
+// (the chains move to sealed_klog_clusters/sealed_vlog_clusters), so
+// writes keep landing in a second, live generation while it runs.
 #pragma once
 
 #include <algorithm>
@@ -31,9 +33,10 @@ enum class KeyspaceState : std::uint8_t {
   kWritable,
   kCompacting,
   kCompacted,
-  // Incremental re-compaction in progress: the sorted run and the delta
-  // are both intact and unchanged until the commit, so queries keep
-  // reading them; a crash rolls straight back to kCompacted.
+  // Incremental re-compaction in progress: the sorted run and the sealed
+  // delta are intact and unchanged until the commit, so queries keep
+  // reading them; writes land in the live delta generation. A crash rolls
+  // straight back to kCompacted.
   kRecompacting,
 };
 
@@ -97,11 +100,20 @@ struct Keyspace {
   std::string min_key;
   std::string max_key;
 
-  // WRITABLE-phase storage.
+  // WRITABLE-phase storage, and the live delta log once COMPACTED.
   std::vector<ClusterId> klog_clusters;
   std::vector<ClusterId> vlog_clusters;
   std::uint64_t klog_bytes = 0;
   std::uint64_t vlog_bytes = 0;
+  // The delta generation a running fold sealed (DESIGN.md §12): its log
+  // chains, moved here at the fold's start. Empty outside a fold. The
+  // commit releases them; a failed fold puts them back in front of the
+  // live chains. Snapshots list sealed ++ live as one chain list, so the
+  // on-media format has no generations.
+  std::vector<ClusterId> sealed_klog_clusters;
+  std::vector<ClusterId> sealed_vlog_clusters;
+  std::uint64_t sealed_klog_bytes = 0;
+  std::uint64_t sealed_vlog_bytes = 0;
 
   // COMPACTED-phase storage.
   std::vector<ClusterId> pidx_clusters;
@@ -122,15 +134,18 @@ struct Keyspace {
   // estimate, since a delta PUT may overwrite a run key.
   std::uint64_t run_entries = 0;
 
-  // Next mutation sequence. NOT persisted: recovery derives it as
-  // (max replayed seq + 1); compaction releases the logs that carried the
-  // old sequences, so restarting the counter per delta generation is safe
-  // — LWW only ever compares sequences within one log generation.
+  // Next mutation sequence. Must stay monotone across a fold's seal: the
+  // sealed and live generations share delta_index, and the commit drops
+  // exactly the entries below the seal's sequence. NOT persisted:
+  // recovery derives it as (max replayed seq + 1) over every chain the
+  // snapshot lists, sealed ones included, so it restarts above every
+  // sequence still on flash.
   std::uint64_t next_seq = 1;
 
-  // COMPACTED-phase delta (DESIGN.md §12): newest mutation per key,
-  // rebuilt from the klog/vlog delta chains at recovery. Number of
-  // non-tombstone entries is tracked in delta_live.
+  // COMPACTED-phase delta (DESIGN.md §12): newest mutation per key across
+  // the sealed and live generations, rebuilt from the klog/vlog delta
+  // chains at recovery. Number of non-tombstone entries is tracked in
+  // delta_live.
   std::map<std::string, DeltaEntry> delta_index;
   std::uint64_t delta_live = 0;
   // Approximate DRAM footprint of delta_index (key + inline value bytes

@@ -26,6 +26,14 @@ void PutClusterVec(std::string* out, const std::vector<ClusterId>& v) {
   for (ClusterId id : v) PutVarint64(out, id);
 }
 
+// One chain list from a fold's sealed generation followed by the live one.
+void PutChain(std::string* out, const std::vector<ClusterId>& sealed,
+              const std::vector<ClusterId>& live) {
+  PutVarint64(out, sealed.size() + live.size());
+  for (ClusterId id : sealed) PutVarint64(out, id);
+  for (ClusterId id : live) PutVarint64(out, id);
+}
+
 bool GetClusterVec(Slice* in, std::vector<ClusterId>* v) {
   std::uint64_t n = 0;
   if (!GetVarint64(in, &n)) return false;
@@ -122,10 +130,12 @@ std::string KeyspaceManager::SerializeTable(std::uint64_t seq) const {
     PutVarint64(&body, ks->run_entries);
     PutString(&body, ks->min_key);
     PutString(&body, ks->max_key);
-    PutClusterVec(&body, ks->klog_clusters);
-    PutClusterVec(&body, ks->vlog_clusters);
-    PutVarint64(&body, ks->klog_bytes);
-    PutVarint64(&body, ks->vlog_bytes);
+    // A running fold's sealed delta generation is written in front of the
+    // live one: recovery rolls the fold back and replays both by seq.
+    PutChain(&body, ks->sealed_klog_clusters, ks->klog_clusters);
+    PutChain(&body, ks->sealed_vlog_clusters, ks->vlog_clusters);
+    PutVarint64(&body, ks->sealed_klog_bytes + ks->klog_bytes);
+    PutVarint64(&body, ks->sealed_vlog_bytes + ks->vlog_bytes);
     PutClusterVec(&body, ks->pidx_clusters);
     PutClusterVec(&body, ks->sorted_value_clusters);
     PutSketch(&body, ks->pidx_sketch);
@@ -221,6 +231,16 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
 }
 
 sim::Task<Status> KeyspaceManager::Persist() {
+  while (!commit_idle_.is_set()) co_await commit_idle_.Wait();
+  co_return co_await PersistCommit();
+}
+
+sim::Task<void> KeyspaceManager::BeginCommit() {
+  while (!commit_idle_.is_set()) co_await commit_idle_.Wait();
+  commit_idle_.Reset();
+}
+
+sim::Task<Status> KeyspaceManager::PersistCommit() {
   // Claim the sequence number eagerly, at serialize time: concurrent
   // Persist calls (a deferred-drop ack racing the compactor's snapshots)
   // must not collide on one seq, or recovery would tie-break to the

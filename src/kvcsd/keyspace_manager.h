@@ -11,6 +11,13 @@
 // latest intact snapshot, a power cut inside the Reset-then-Append window
 // cannot lose the table — recovery scans both zones and loads the intact
 // snapshot with the highest sequence number.
+//
+// Commit window: between a fold's install and the end of its commit
+// persist (or its rollback), the in-memory table holds state that may
+// still be undone, so no other snapshot may capture it (DESIGN.md §12).
+// The fold opens the window with BeginCommit, persists with PersistCommit
+// and closes it with EndCommit; every other Persist — create, drop, sync,
+// other keyspaces' compactions and folds — waits until it is closed.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +28,7 @@
 #include "common/status.h"
 #include "kvcsd/keyspace.h"
 #include "kvcsd/zone_manager.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace kvcsd::device {
@@ -36,7 +44,10 @@ class KeyspaceManager {
                            std::uint32_t metadata_zone_a = 0,
                            std::uint32_t metadata_zone_b = 1)
       : ssd_(ssd), zones_(zones), meta_zone_a_(metadata_zone_a),
-        meta_zone_b_(metadata_zone_b), current_meta_zone_(metadata_zone_a) {}
+        meta_zone_b_(metadata_zone_b), current_meta_zone_(metadata_zone_a),
+        commit_idle_(ssd->sim()) {
+    commit_idle_.Set();
+  }
 
   Result<Keyspace*> Create(const std::string& name);
   Result<Keyspace*> Find(const std::string& name);
@@ -50,8 +61,16 @@ class KeyspaceManager {
   }
 
   // Appends a table snapshot to the current metadata zone, ping-ponging to
-  // the sibling zone when it no longer fits.
+  // the sibling zone when it no longer fits. Waits for an open commit
+  // window to close before it serializes the table.
   sim::Task<Status> Persist();
+
+  // The commit window (see the file comment). BeginCommit waits for any
+  // other open window, then opens one; PersistCommit is the window
+  // owner's own persist and does not wait; EndCommit closes the window.
+  sim::Task<void> BeginCommit();
+  sim::Task<Status> PersistCommit();
+  void EndCommit() { commit_idle_.Set(); }
 
   // Rebuilds the table from the newest intact snapshot across both
   // metadata zones. Returns the number of keyspaces recovered.
@@ -81,6 +100,8 @@ class KeyspaceManager {
   // record appended after garbage would be invisible to the next scan.
   bool reset_before_append_ = false;
   std::uint64_t persist_seq_ = 0;
+  // Set while no commit window is open.
+  sim::Event commit_idle_;
   std::map<std::uint64_t, std::unique_ptr<Keyspace>> by_id_;
   std::map<std::string, std::uint64_t> by_name_;
   std::uint64_t next_id_ = 1;

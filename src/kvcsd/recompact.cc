@@ -30,19 +30,31 @@
 // whose sketch addresses are patched as each append lands. Batching moves
 // no block boundary: each rebuilt group still starts a fresh block.
 //
+// Seal: under the write lock the fold drains the write buffer and every
+// flush in flight, records seal_seq = next_seq, moves the delta's log
+// chains into the keyspace's sealed generation and snapshots the delta
+// index as the fold's items. From then on writes land in fresh chains and
+// in the same delta index with seq >= seal_seq: an overwrite since the
+// seal already shadows its sealed entry, so reads need no second index.
+//
 // Commit protocol: the RECOMPACTING state is persisted before any output
-// is written (recovery rolls it straight back to COMPACTED, delta intact,
-// new clusters reclaimed as unreferenced). Until the commit the fold
-// writes only fresh clusters and writes are refused (kBusy), so the
-// pre-fold run, delta and sketches stay fixed and queries keep reading
-// them. The commit closes the keyspace's commit gate (new queries and
-// writes wait or bounce), drains the in-flight readers, installs the
-// mixed old + new sketch and persists it with one table persist, then
-// reopens the gate — only after the persist, or its rollback, returned,
-// so no reader ever sees a state that may still be rolled back. Past
-// that point the delta logs and any old index cluster no retained block
+// is written (recovery rolls it straight back to COMPACTED and replays
+// the sealed ++ live chains the snapshot lists; new clusters are
+// reclaimed as unreferenced). Until the commit the fold writes only fresh
+// clusters, so the pre-fold run and sketches stay fixed and queries keep
+// reading them. The commit closes the keyspace's commit gate (new queries
+// wait; writes do not), drains the in-flight readers, opens the table's
+// commit window (no other snapshot is serialized until it closes),
+// installs the mixed old + new sketch and persists it with one table
+// persist, then reopens the gate — only after the persist, or its
+// rollback, returned, so no reader ever sees a state that may still be
+// rolled back. The install swaps the run, sketches, bloom and sealed
+// chains only; once the persist succeeded the delta index drops the
+// entries below seal_seq, and the live generation stays pending. Past
+// that point the sealed logs and any old index cluster no retained block
 // references are released. A crash anywhere leaves either the old state
-// (delta still pending) or the new state (delta folded) — never a blend.
+// (both generations pending) or the new state (sealed generation folded)
+// — never a blend.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -116,11 +128,13 @@ std::vector<const SketchEntry*> Pointers(
 class Device::FoldBlockWriter {
  public:
   FoldBlockWriter(Device* device, std::vector<ClusterId>* chain, ZoneType type,
-                  std::vector<SketchEntry>* sketch)
+                  std::vector<SketchEntry>* sketch,
+                  std::vector<ClusterId>* scratch)
       : device_(device),
         chain_(chain),
         type_(type),
         sketch_(sketch),
+        scratch_(scratch),
         block_size_(device->config_.index_block_size) {
     wire::BeginIndexBlock(&block_);
     batch_.reserve(device->config_.output_batch_bytes);
@@ -158,7 +172,8 @@ class Device::FoldBlockWriter {
     co_await device_->cpu_.Compute(device_->config_.costs.io_path_overhead,
                                    sim::Activity::kRecompact);
     auto addr = co_await device_->AppendToChain(
-        chain_, type_, Slice(batch_).bytes(), sim::Activity::kRecompact);
+        chain_, type_, Slice(batch_).bytes(), sim::Activity::kRecompact,
+        scratch_);
     if (!addr.ok()) co_return addr.status();
     device_->compaction_stats_.bytes_written += batch_.size();
     for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
@@ -174,6 +189,7 @@ class Device::FoldBlockWriter {
   std::vector<ClusterId>* chain_;
   ZoneType type_;
   std::vector<SketchEntry>* sketch_;
+  std::vector<ClusterId>* scratch_;
   const std::uint32_t block_size_;
   std::string block_;
   std::uint16_t count_ = 0;
@@ -196,47 +212,51 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
 sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                           std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
-  // Flush the buffered tail of the delta and drain in-flight flush I/O:
-  // the fold must observe the complete delta log (and the durable log
-  // extent must match what the fold consumes, for recovery's sake).
-  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
+  // ---- Seal the delta ----
+  // Drain the buffered tail and every flush in flight while holding the
+  // write lock (writes queue behind it meanwhile): the sealed generation
+  // must be the complete delta log the fold consumes, for recovery's sake.
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks, /*keep_lock=*/true));
+  const std::uint64_t seal_seq = ks->next_seq;
+  ks->sealed_klog_clusters = std::exchange(ks->klog_clusters, {});
+  ks->sealed_vlog_clusters = std::exchange(ks->vlog_clusters, {});
+  ks->sealed_klog_bytes = std::exchange(ks->klog_bytes, 0);
+  ks->sealed_vlog_bytes = std::exchange(ks->vlog_bytes, 0);
+  std::vector<FoldItem> items;
+  items.reserve(ks->delta_index.size());
+  // Values that only survive as VLOG pointers (post-restart entries) are
+  // batch-loaded below from the sealed VLOG chain, which stays allocated
+  // until the commit; values written this power cycle ride inline.
+  std::vector<ValueRef> refs;
+  std::vector<std::size_t> ref_slot;
+  for (const auto& [key, entry] : ks->delta_index) {
+    FoldItem item;
+    item.key = key;
+    item.tombstone = entry.tombstone;
+    if (!entry.tombstone) {
+      if (entry.has_value) {
+        item.value = entry.value;
+      } else {
+        refs.push_back(ValueRef{entry.vaddr, entry.vlen});
+        ref_slot.push_back(items.size());
+      }
+    }
+    items.push_back(std::move(item));
+  }
+  Runtime(ks).write_lock.Release();
 
-  // Make RECOMPACTING and the final delta-log extents durable before any
+  // Make RECOMPACTING and the sealed delta-log extents durable before any
   // output is written: recovery must know to roll this keyspace back to
   // COMPACTED and which clusters hold its (still authoritative) delta.
   KVCSD_CO_RETURN_IF_ERROR(co_await keyspace_manager_.Persist());
   if (CrashPoint("recompact.before_fold")) {
     co_return Status::IoError("simulated power loss before delta fold");
   }
-
-  // ---- Snapshot the delta (mutations are rejected kBusy from here) ----
-  std::vector<FoldItem> items;
-  items.reserve(ks->delta_index.size());
-  {
-    // Batch-load values that only survive as VLOG pointers (post-restart
-    // entries); values written this power cycle ride inline.
-    std::vector<ValueRef> refs;
-    std::vector<std::size_t> ref_slot;
-    for (const auto& [key, entry] : ks->delta_index) {
-      FoldItem item;
-      item.key = key;
-      item.tombstone = entry.tombstone;
-      if (!entry.tombstone) {
-        if (entry.has_value) {
-          item.value = entry.value;
-        } else {
-          refs.push_back(ValueRef{entry.vaddr, entry.vlen});
-          ref_slot.push_back(items.size());
-        }
-      }
-      items.push_back(std::move(item));
-    }
-    if (!refs.empty()) {
-      auto values = co_await GatherValues(std::move(refs), sim::Activity::kRecompact);
-      if (!values.ok()) co_return values.status();
-      for (std::size_t i = 0; i < ref_slot.size(); ++i) {
-        items[ref_slot[i]].value = std::move((*values)[i]);
-      }
+  if (!refs.empty()) {
+    auto values = co_await GatherValues(std::move(refs), sim::Activity::kRecompact);
+    if (!values.ok()) co_return values.status();
+    for (std::size_t i = 0; i < ref_slot.size(); ++i) {
+      items[ref_slot[i]].value = std::move((*values)[i]);
     }
   }
 
@@ -252,7 +272,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       auto addr = co_await AppendToChain(&new_value_clusters,
                                          ZoneType::kSortedValues,
                                          Slice(chunk).bytes(),
-                                         sim::Activity::kRecompact);
+                                         sim::Activity::kRecompact, scratch);
       if (!addr.ok()) co_return addr.status();
       compaction_stats_.bytes_written += chunk.size();
       std::uint64_t offset = 0;
@@ -279,8 +299,6 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     co_await cpu_.ComputeBytes(value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
   }
-  scratch->insert(scratch->end(), new_value_clusters.begin(),
-                  new_value_clusters.end());
 
   // ---- PIDX fold: rebuild only the blocks the delta keys land in ----
   const std::vector<SketchEntry>& old_sketch = ks->pidx_sketch;
@@ -306,7 +324,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::uint64_t pidx_retained = 0;
   std::uint64_t pidx_rebuilt = 0;
   FoldBlockWriter pidx_out(this, &new_pidx_clusters, ZoneType::kPidx,
-                           &new_sketch);
+                           &new_sketch, scratch);
 
   // Two-pointer LWW merge of one dirty block with its delta keys.
   auto merge_block = [&](const std::vector<PidxRec>& old_recs,
@@ -394,8 +412,6 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   if (fold_bytes > 0) {
     co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec, sim::Activity::kRecompact);
   }
-  scratch->insert(scratch->end(), new_pidx_clusters.begin(),
-                  new_pidx_clusters.end());
 
   // ---- SIDX fold: stream all blocks, rewrite only dirty regions ----
   // Every delta key's old tuple (if any) is stale: a tombstone removes
@@ -418,7 +434,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     SidxFold& fold = sidx_folds[name];
     const std::vector<SketchEntry>& sketch = sidx.sketch;
     FoldBlockWriter sidx_out(this, &fold.new_clusters, ZoneType::kSidx,
-                             &fold.new_sketch);
+                             &fold.new_sketch, scratch);
 
     // New tuples from the live delta values, sorted by (skey, pkey).
     std::vector<SidxTuple> fresh;
@@ -574,8 +590,6 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     }
     KVCSD_CO_RETURN_IF_ERROR(co_await sidx_out.Flush());
     fold.new_entries = sidx.entries - removed + fresh.size();
-    scratch->insert(scratch->end(), fold.new_clusters.begin(),
-                    fold.new_clusters.end());
     sidx_retained_total += fold.retained;
     sidx_rebuilt_total += fold.rebuilt;
   }
@@ -599,7 +613,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // Close the gate, then drain the readers still in flight: the install
   // below swaps clusters and sketches a running scan may be
   // dereferencing. Queries arriving from here wait in AwaitQueryable
-  // (and writes bounce kBusy) until the persist or its rollback is done.
+  // until the persist or its rollback is done; writes keep landing in
+  // the live generation.
   KeyspaceRuntime& rt = Runtime(ks);
   sim::Event* gate = &rt.commit_gate;
   gate->Reset();
@@ -613,6 +628,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     gate->Set();
     co_return Status::IoError("simulated power loss before recompact commit");
   }
+  // From the install until the commit persist or its rollback returns, no
+  // other snapshot may capture the table.
+  co_await keyspace_manager_.BeginCommit();
 
   // Partition each old index chain into clusters a retained block still
   // references (they stay in the keyspace) and dead ones (released past
@@ -646,19 +664,16 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     partition(sidx.sidx_clusters, sidx_folds[name].new_sketch, &live, &dead);
   }
 
-  // Save the old state for a symmetric un-install on persist failure.
-  std::vector<ClusterId> old_klog = std::move(ks->klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->vlog_clusters);
-  const std::uint64_t old_klog_bytes = ks->klog_bytes;
-  const std::uint64_t old_vlog_bytes = ks->vlog_bytes;
+  // Save the old state for a symmetric un-install on persist failure. The
+  // live delta generation and the delta index are not part of the install.
+  std::vector<ClusterId> old_klog = std::move(ks->sealed_klog_clusters);
+  std::vector<ClusterId> old_vlog = std::move(ks->sealed_vlog_clusters);
+  const std::uint64_t old_klog_bytes = std::exchange(ks->sealed_klog_bytes, 0);
+  const std::uint64_t old_vlog_bytes = std::exchange(ks->sealed_vlog_bytes, 0);
   std::vector<ClusterId> old_pidx = std::move(ks->pidx_clusters);
   std::vector<SketchEntry> old_pidx_sketch = std::move(ks->pidx_sketch);
   std::string old_bloom = std::move(ks->pidx_bloom);
-  const std::uint64_t old_num_kvs = ks->num_kvs;
   const std::uint64_t old_run_entries = ks->run_entries;
-  std::map<std::string, DeltaEntry> old_delta = std::move(ks->delta_index);
-  const std::uint64_t old_delta_live = ks->delta_live;
-  const std::uint64_t old_delta_index_bytes = ks->delta_index_bytes;
   std::map<std::string, std::pair<std::vector<ClusterId>,
                                   std::vector<SketchEntry>>> old_sidx;
   for (auto& [name, sidx] : ks->secondary_indexes) {
@@ -668,10 +683,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
 
   // Install the folded state. The old sorted-value clusters all stay:
   // retained and rebuilt blocks alike still point at unchanged run values.
-  ks->klog_clusters.clear();
-  ks->vlog_clusters.clear();
-  ks->klog_bytes = 0;
-  ks->vlog_bytes = 0;
+  ks->sealed_klog_clusters.clear();
+  ks->sealed_vlog_clusters.clear();
   ks->pidx_clusters = pidx_live;
   ks->pidx_clusters.insert(ks->pidx_clusters.end(), new_pidx_clusters.begin(),
                            new_pidx_clusters.end());
@@ -682,10 +695,6 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   ks->pidx_bloom = std::move(new_bloom);
   ks->run_entries = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
-  ks->num_kvs = ks->run_entries;
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->delta_index_bytes = 0;
   for (auto& [name, sidx] : ks->secondary_indexes) {
     SidxFold& fold = sidx_folds[name];
     sidx.sidx_clusters = sidx_parts[name].first;
@@ -696,34 +705,46 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     sidx.entries = fold.new_entries;
   }
   ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
+  Status commit = co_await keyspace_manager_.PersistCommit();
   if (!commit.ok()) {
-    ks->klog_clusters = std::move(old_klog);
-    ks->vlog_clusters = std::move(old_vlog);
-    ks->klog_bytes = old_klog_bytes;
-    ks->vlog_bytes = old_vlog_bytes;
+    ks->sealed_klog_clusters = std::move(old_klog);
+    ks->sealed_vlog_clusters = std::move(old_vlog);
+    ks->sealed_klog_bytes = old_klog_bytes;
+    ks->sealed_vlog_bytes = old_vlog_bytes;
     ks->pidx_clusters = std::move(old_pidx);
     ks->pidx_sketch = std::move(old_pidx_sketch);
     ks->pidx_bloom = std::move(old_bloom);
-    ks->num_kvs = old_num_kvs;
     ks->run_entries = old_run_entries;
-    ks->delta_index = std::move(old_delta);
-    ks->delta_live = old_delta_live;
-    ks->delta_index_bytes = old_delta_index_bytes;
     ks->sorted_value_clusters.resize(old_value_count);
     for (auto& [name, sidx] : ks->secondary_indexes) {
       sidx.sidx_clusters = std::move(old_sidx[name].first);
       sidx.sketch = std::move(old_sidx[name].second);
     }
     ks->state = KeyspaceState::kRecompacting;  // RunJob rolls back
+    keyspace_manager_.EndCommit();
     gate->Set();  // readers resume on the restored pre-fold state
     co_return commit;
   }
+  // The sealed generation is in the run now: drop its entries. Entries
+  // written since the seal carry seq >= seal_seq and stay pending.
+  for (auto it = ks->delta_index.begin(); it != ks->delta_index.end();) {
+    const DeltaEntry& entry = it->second;
+    if (entry.seq >= seal_seq) {
+      ++it;
+      continue;
+    }
+    ks->delta_index_bytes -=
+        kDeltaEntryOverhead + it->first.size() + entry.value.size();
+    if (!entry.tombstone) --ks->delta_live;
+    it = ks->delta_index.erase(it);
+  }
+  ks->num_kvs = ks->run_entries + ks->delta_live;
   ++compactions_done_;
   scratch->clear();  // the outputs are now owned by the durable snapshot
   // Retained blocks kept their addresses, but rebuilt and dead blocks
   // must never be served from DRAM again; drop the keyspace's cache.
   index_cache_.EraseKeyspace(ks->id);
+  keyspace_manager_.EndCommit();
   gate->Set();
 
   stats().counter("device.recompact.done").Increment();
@@ -739,7 +760,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   stats().histogram("device.recompact.fold_ns").Record(sim_->Now() -
                                                        fold_start);
 
-  // Past the commit point the fold HAS happened; the delta logs and any
+  // Past the commit point the fold HAS happened; the sealed logs and any
   // old index cluster with no retained block are garbage (a crash here
   // leaks them to recovery's unreferenced-cluster sweep).
   (void)CrashPoint("recompact.after_commit");

@@ -110,7 +110,8 @@ sim::Task<Status> Device::Recover() {
     if (ks->state == KeyspaceState::kRecompacting) {
       // An uncommitted incremental re-compaction: the sorted run and the
       // delta log are both intact (the fold writes only fresh clusters
-      // before its commit persist), so roll straight back to COMPACTED.
+      // before its commit persist, and the snapshot lists its sealed and
+      // live delta chains as one), so roll straight back to COMPACTED.
       // Whatever partial outputs exist are referenced by no keyspace and
       // die in steps 3/4; step 5 replays the delta chains.
       ks->state = KeyspaceState::kCompacted;

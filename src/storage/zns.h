@@ -118,6 +118,7 @@ class ZnsSsd {
   NandModel& nand() { return nand_; }
   const NandModel& nand() const { return nand_; }
   sim::FaultInjector* fault_injector() const { return config_.faults; }
+  sim::Simulation* sim() const { return sim_; }
 
   std::uint64_t total_bytes_written() const { return bytes_written_; }
   std::uint64_t total_bytes_read() const { return bytes_read_; }

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -658,6 +659,140 @@ TEST_P(RecompactCrashPointTest, RecoversToSameBytesWithReadersInFlight) {
   EXPECT_EQ(recovered, log.reference) << point;
 }
 
+// LWW model of the keyspace as the writer stream below sees it. A key
+// maps to its value, or to nullopt once deleted.
+using Model = std::map<std::string, std::optional<std::string>>;
+
+Model ModelOf(const std::vector<std::pair<std::string, std::string>>& rows) {
+  Model model;
+  for (const auto& [key, value] : rows) model[key] = value;
+  return model;
+}
+
+// PUT/DELETE rounds, each closed by a Sync, until the power is cut.
+// `acked` is the model as of the last acknowledged Sync; `pending` holds
+// what was issued since, which a crash may or may not have made durable.
+struct CrashWriters {
+  Model acked;
+  Model pending;
+  std::uint64_t synced = 0;
+  std::uint64_t during_fold = 0;  // writes acked while RECOMPACTING
+  bool wrong = false;  // a write or Sync failed with the power still on
+};
+
+sim::Task<void> WriteUntilCrash(client::Client* db, sim::FaultInjector* faults,
+                                const Keyspace* target, CrashWriters* log) {
+  auto ks = co_await db->OpenKeyspace("rc");
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t round = 0; !faults->crashed(); ++round) {
+    // An overwrite of a run key, an insert past the run, and a delete.
+    const std::string suffix = std::to_string(round);
+    const std::vector<std::pair<std::string, std::optional<std::string>>> ops{
+        {MakeFixedKey(100 + round % 200), "over-" + suffix},
+        {MakeFixedKey(kPcKeys + 100 + round), "fresh-" + suffix},
+        {MakeFixedKey(300 + round % 200), std::nullopt}};
+    for (const auto& [key, value] : ops) {
+      log->pending[key] = value;
+      Status s = Status::Ok();
+      if (value.has_value()) {
+        s = co_await ks->Put(key, *value);
+      } else {
+        s = co_await ks->Delete(key);
+      }
+      if (!s.ok()) {
+        if (!faults->crashed()) log->wrong = true;
+        co_return;
+      }
+      if (target->state == KeyspaceState::kRecompacting) ++log->during_fold;
+    }
+    Status s = co_await ks->Sync();
+    if (!s.ok()) {
+      if (!faults->crashed()) log->wrong = true;
+      co_return;
+    }
+    for (auto& [key, value] : log->pending) log->acked[key] = std::move(value);
+    log->pending.clear();
+    ++log->synced;
+  }
+}
+
+// The sweep with PUT/DELETE + Sync rounds streaming through the fold:
+// every write a Sync acknowledged before the cut survives recovery, so
+// the recovered scan equals the LWW model of the acked writes — except
+// that a key written after the last acked Sync may hold either version.
+TEST_P(RecompactCrashPointTest, RecoversAckedWritesWithWritersInFlight) {
+  const char* point = GetParam();
+
+  PowerCycleFixture f;
+  CrashWriters log;
+  testutil::RunSim(f.sim, LoadCompactMutate(f.db.get(), "rc"));
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             CrashWriters* writers) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("rc");
+    KVCSD_CO_ASSERT_OK(ks);
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+    writers->acked = ModelOf(rows);
+  }(f.db.get(), &log));
+  f.faults.ArmCrashAtPoint(point, 1);
+  testutil::RunSim(
+      f.sim,
+      [](client::Client* db, sim::FaultInjector* faults, sim::Simulation* sim,
+         const Keyspace* target, CrashWriters* writers) -> sim::Task<void> {
+        sim->Spawn(WriteUntilCrash(db, faults, target, writers));
+        // Start the fold only once the writer stream is running.
+        while (writers->synced == 0) co_await sim->Delay(Microseconds(10));
+        auto ks = co_await db->OpenKeyspace("rc");
+        KVCSD_CO_ASSERT_OK(ks);
+        Status s = co_await ks->Compact();
+        if (s.ok()) (void)co_await ks->WaitCompaction();
+        KVCSD_CO_ASSERT(faults->crashed());
+      }(f.db.get(), &f.faults, &f.sim, f.dev()->keyspaces().Find("rc").value(),
+        &log));
+  ASSERT_EQ(f.faults.crash_point(), point);
+  EXPECT_FALSE(log.wrong) << point;
+  EXPECT_GT(log.during_fold, 0u) << point;  // writes ran through the fold
+
+  f.Restart();
+  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+  }(f.dev()));
+  auto check = [&](const char* when) {
+    Model recovered;
+    testutil::RunSim(f.sim, [](client::Client* db,
+                               Model* out) -> sim::Task<void> {
+      auto ks = co_await db->OpenKeyspace("rc");
+      KVCSD_CO_ASSERT_OK(ks);
+      std::vector<std::pair<std::string, std::string>> rows;
+      KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+      *out = ModelOf(rows);
+    }(f.db.get(), &recovered));
+    Model keys = log.acked;
+    keys.insert(recovered.begin(), recovered.end());
+    keys.insert(log.pending.begin(), log.pending.end());
+    for (const auto& [key, unused] : keys) {
+      auto at = [key](const Model& m) -> std::optional<std::string> {
+        auto it = m.find(key);
+        return it == m.end() ? std::nullopt : it->second;
+      };
+      const std::optional<std::string> got = at(recovered);
+      const bool in_flight = log.pending.contains(key);
+      EXPECT_TRUE(got == at(log.acked) || (in_flight && got == at(log.pending)))
+          << point << " " << when << ": key " << key;
+    }
+  };
+  check("after recovery");
+
+  // And the fold completes cleanly on the recovered state.
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("rc");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(f.db.get()));
+  check("after the fold");
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
                          ::testing::Values("recompact.before_fold",
                                            "recompact.before_commit",
@@ -675,8 +810,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
 // delta_fold_watermark_bytes set, the device folds the delta back into the
 // run on its own once the in-DRAM delta index crosses the threshold — no
 // host Compact() involved. Below the watermark nothing fires; at the
-// crossing the fold runs exactly once, the gauge drains to zero, and the
-// merged view survives the fold byte-identically.
+// crossing the fold runs exactly once, writes keep being admitted while it
+// runs, the gauge drains to exactly what was written since the seal, and
+// the merged view survives the fold byte-identically.
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
   // Each delta overwrite costs kDeltaEntryOverhead(48) + 16-byte key +
@@ -720,51 +856,53 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
                     expect_bytes);
 
     // Keep mutating until the crossing. Once the watermark trips, the
-    // keyspace flips to RECOMPACTING and further puts bounce with kBusy —
-    // that IS the fold starting, so stop writing and let it finish.
+    // keyspace flips to RECOMPACTING; the fold sealed the delta, so the
+    // next put is admitted into the live generation.
     std::uint64_t i = 10;
     while (simp->stats().counter_value("device.delta.watermark_folds") == 0) {
       KVCSD_CO_ASSERT(i < kKeys);  // the watermark must trip well before
-      std::string value = "delta-" + std::to_string(i);
-      Status s = co_await ks.Put(MakeFixedKey(i), value);
-      if (s.code() == StatusCode::kBusy) break;
-      KVCSD_CO_ASSERT_OK(s);
-      model[i].second = std::move(value);
+      model[i].second = "delta-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
       ++i;
     }
+    auto stat = co_await ks.GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->state == "RECOMPACTING");
+    model[i].second = "during-" + std::to_string(i);
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
+    const std::uint64_t during_bytes =
+        kDeltaEntryOverhead + 16 + model[i].second.size();
     KVCSD_CO_ASSERT(
         simp->stats().counter_value("device.delta.watermark_folds") == 1);
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
 
-    // Folded: state is back to COMPACTED, the delta index drained, and
-    // the merged view kept every overwrite.
-    auto stat = co_await ks.GetStat();
+    // Folded: state is back to COMPACTED, the delta index holds only the
+    // put admitted during the fold, and the merged view kept every
+    // overwrite.
+    stat = co_await ks.GetStat();
     KVCSD_CO_ASSERT_OK(stat);
     KVCSD_CO_ASSERT(stat->state == "COMPACTED");
-    KVCSD_CO_ASSERT(stat->num_kvs == kKeys);
+    KVCSD_CO_ASSERT(stat->num_kvs == kKeys + 1);  // the pending overwrite
     KVCSD_CO_ASSERT(devp->BuildHealthPage().Gauge("device.delta.index_bytes") ==
-                    0);
+                    during_bytes);
     std::vector<std::pair<std::string, std::string>> rows;
     KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kKeys);
     KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
 
     // A second round of delta traffic re-arms the watermark: the fold is
-    // recurring, not one-shot.
+    // recurring, not one-shot, and writes are admitted throughout.
     std::uint64_t folds = 1;
     for (std::uint64_t j = 0; j < 40 && folds < 2; ++j) {
-      std::string value = "again-" + std::to_string(j);
-      Status s = co_await ks.Put(MakeFixedKey(j), value);
-      if (s.code() == StatusCode::kBusy) {
-        KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
-        continue;
-      }
-      KVCSD_CO_ASSERT_OK(s);
-      model[j].second = std::move(value);
+      model[j].second = "again-" + std::to_string(j);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(j), model[j].second));
       folds = simp->stats().counter_value("device.delta.watermark_folds");
     }
     KVCSD_CO_ASSERT(folds == 2);
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    rows.clear();
+    KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
   }(&db, &dev, &sim));
 }
 
@@ -1214,6 +1352,381 @@ TEST(MutabilityTest, FailedCommitKeepsReadersOnPreFoldState) {
   }(&db, &dev, &sim, &faults, &stream));
   EXPECT_GT(stream.reads, 0u);
   EXPECT_EQ(stream.wrong, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Writes during a fold (DESIGN.md §12): the fold seals the delta at its
+// start, so PUT/DELETE land in the next generation and never bounce.
+// --------------------------------------------------------------------------
+
+// The LiveValue view of LoadWithScatteredDelta as a key -> value model.
+Model ScatteredModel() {
+  Model model;
+  for (std::uint64_t i = 0; i < kLiveKeys; ++i) {
+    if (std::optional<std::string> v = LiveValue(i)) model[MakeFixedKey(i)] = *v;
+  }
+  return model;
+}
+
+std::vector<std::pair<std::string, std::string>> RowsOf(const Model& model) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const auto& [key, value] : model) {
+    if (value.has_value()) rows.emplace_back(key, *value);
+  }
+  return rows;
+}
+
+// Waits until a fold of `ks` has installed its output: the state reads
+// COMPACTED again. Callers check that the device's compactions_done has not
+// moved yet, i.e. that the commit persist is still in flight.
+sim::Task<void> AwaitCommitWindow(sim::Simulation* sim, const Keyspace* ks) {
+  while (ks->state != KeyspaceState::kCompacted) {
+    co_await sim->Delay(Microseconds(1));
+  }
+}
+
+// PUT and DELETE issued while the keyspace is RECOMPACTING and inside the
+// commit window return Ok; GET and Scan see them at once; the commit
+// leaves them in the delta; the final scan equals the LWW model.
+TEST(MutabilityTest, WritesProceedDuringFold) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    auto ks = co_await LoadWithScatteredDelta(db, "writes");
+    KVCSD_CO_ASSERT_OK(ks);
+    Model model = ScatteredModel();
+    auto put = [&](std::uint64_t i, std::string value) -> sim::Task<Status> {
+      model[MakeFixedKey(i)] = value;
+      co_return co_await ks->Put(MakeFixedKey(i), value);
+    };
+    auto del = [&](std::uint64_t i) -> sim::Task<Status> {
+      model[MakeFixedKey(i)] = std::nullopt;
+      co_return co_await ks->Delete(MakeFixedKey(i));
+    };
+
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    Keyspace* live = dev->keyspaces().Find("writes").value();
+    KVCSD_CO_ASSERT(live->state == KeyspaceState::kRecompacting);
+    const std::uint64_t folds = dev->compactions_done();
+
+    // Over a sealed delta key (10), over and under run keys (11, 12), a
+    // delete of a sealed delta key (20) and an insert past the run.
+    KVCSD_CO_ASSERT_OK(co_await put(10, "over-sealed"));
+    KVCSD_CO_ASSERT_OK(co_await put(11, "over-run"));
+    KVCSD_CO_ASSERT_OK(co_await del(12));
+    KVCSD_CO_ASSERT_OK(co_await del(20));
+    KVCSD_CO_ASSERT_OK(co_await put(kLiveKeys + 1, "inserted"));
+    auto got = co_await ks->Get(MakeFixedKey(10));
+    KVCSD_CO_ASSERT(got.ok() && *got == "over-sealed");
+    KVCSD_CO_ASSERT((co_await ks->Get(MakeFixedKey(12))).status().IsNotFound());
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan("", MakeFixedKey(30), 0, &rows));
+    Model low(model.begin(), model.upper_bound(MakeFixedKey(30)));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(low)));
+    // All of that happened while the fold ran.
+    KVCSD_CO_ASSERT(live->state == KeyspaceState::kRecompacting);
+    KVCSD_CO_ASSERT(dev->compactions_done() == folds);
+
+    // Inside the commit window.
+    co_await AwaitCommitWindow(sim, live);
+    KVCSD_CO_ASSERT(dev->compactions_done() == folds);
+    KVCSD_CO_ASSERT_OK(co_await put(13, "in-commit"));
+    KVCSD_CO_ASSERT_OK(co_await del(14));
+    // A host fold request here must not start a second fold.
+    KVCSD_CO_ASSERT((co_await ks->Compact()).code() ==
+                    StatusCode::kFailedPrecondition);
+    KVCSD_CO_ASSERT(dev->compactions_done() == folds);  // still committing
+
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    KVCSD_CO_ASSERT(dev->compactions_done() == folds + 1);
+    // The commit dropped the sealed generation only: the seven writes
+    // since the seal are still pending in the delta.
+    KVCSD_CO_ASSERT(live->delta_index.size() == 7);
+    KVCSD_CO_ASSERT(
+        dev->BuildHealthPage().Gauge("device.delta.index_bytes") > 0);
+    got = co_await ks->Get(MakeFixedKey(13));
+    KVCSD_CO_ASSERT(got.ok() && *got == "in-commit");
+    KVCSD_CO_ASSERT((co_await ks->Get(MakeFixedKey(14))).status().IsNotFound());
+    rows.clear();
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(model)));
+
+    // The next fold takes them in.
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    KVCSD_CO_ASSERT(
+        dev->BuildHealthPage().Gauge("device.delta.index_bytes") == 0);
+    rows.clear();
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(model)));
+  }(&f.db, &f.dev, &f.sim));
+}
+
+// The commit sets COMPACTED before its persist, and the sealed entries
+// stay in the delta index until it returns, so a write in the commit
+// window finds the delta over the watermark. It must not launch a second
+// fold beside the committing one; the next crossing after the commit
+// does.
+TEST(MutabilityTest, WatermarkCrossingInCommitWindowLaunchesNoSecondFold) {
+  constexpr std::uint64_t kWatermark = 1024;
+  constexpr std::uint64_t kKeys = 200;
+  sim::Simulation sim;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  DeviceConfig cfg = SmallDevice();
+  cfg.delta_fold_watermark_bytes = kWatermark;
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+
+  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
+                           sim::Simulation* simp) -> sim::Task<void> {
+    auto folds = [simp] {
+      return simp->stats().counter_value("device.delta.watermark_folds");
+    };
+    auto ks = (co_await dbp->CreateKeyspace("wm")).value();
+    std::vector<std::pair<std::string, std::string>> model;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      std::string value = "base-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), value));
+      model.emplace_back(MakeFixedKey(i), std::move(value));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    const std::uint64_t done = devp->compactions_done();
+
+    std::uint64_t i = 0;
+    while (folds() == 0) {
+      KVCSD_CO_ASSERT(i < kKeys);
+      model[i].second = "delta-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
+      ++i;
+    }
+    Keyspace* live = devp->keyspaces().Find("wm").value();
+    co_await AwaitCommitWindow(simp, live);
+    KVCSD_CO_ASSERT(devp->compactions_done() == done);
+    KVCSD_CO_ASSERT(live->delta_index_bytes >= kWatermark);
+    model[i].second = "window-" + std::to_string(i);
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
+    ++i;
+    KVCSD_CO_ASSERT(devp->compactions_done() == done);  // still committing
+    KVCSD_CO_ASSERT(folds() == 1);
+    KVCSD_CO_ASSERT(devp->compactions_running() == 1);
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    KVCSD_CO_ASSERT(devp->compactions_done() == done + 1);
+
+    // Below the watermark after the commit; the next crossing folds.
+    KVCSD_CO_ASSERT(live->delta_index_bytes < kWatermark);
+    while (folds() == 1) {
+      KVCSD_CO_ASSERT(i < kKeys);
+      model[i].second = "again-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
+      ++i;
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    KVCSD_CO_ASSERT(devp->compactions_done() == done + 2);
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
+  }(&db, &dev, &sim));
+}
+
+// The one kBusy left on the delta path: while a fold runs, a write bounces
+// once the delta index reaches twice the watermark. The fold is held up by
+// a metadata append that fails 20 ms in; writes are admitted until the
+// bound, the failed fold keeps every one of them, and the next fold
+// commits them all.
+TEST(MutabilityTest, FoldBackpressureAtTwiceWatermark) {
+  constexpr std::uint64_t kWatermark = 2048;
+  constexpr std::uint64_t kKeys = 200;
+  sim::Simulation sim;
+  sim::FaultInjector faults{9};
+  DeviceConfig cfg = SmallDevice();
+  cfg.zns.faults = &faults;
+  cfg.delta_fold_watermark_bytes = kWatermark;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+
+  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
+                           sim::Simulation* simp,
+                           sim::FaultInjector* fi) -> sim::Task<void> {
+    auto folds = [simp] {
+      return simp->stats().counter_value("device.delta.watermark_folds");
+    };
+    auto index_bytes = [devp] {
+      return devp->BuildHealthPage().Gauge("device.delta.index_bytes");
+    };
+    auto ks = (co_await dbp->CreateKeyspace("bp")).value();
+    Model model;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      std::string value = "base-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), value));
+      model[MakeFixedKey(i)] = std::move(value);
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+    // The fold's RECOMPACTING persist is the next metadata append.
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kAppend;
+    rule.zone = devp->keyspaces().current_meta_zone();
+    rule.times = 1;
+    rule.latency = Milliseconds(20);
+    fi->AddErrorRule(rule);
+    std::uint64_t i = 0;
+    while (folds() == 0) {
+      KVCSD_CO_ASSERT(i < kKeys);
+      model[MakeFixedKey(i)] = "delta-" + std::to_string(i);
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), *model[MakeFixedKey(i)]));
+      ++i;
+    }
+
+    // Inserts while the fold is stuck: admitted below 2x the watermark,
+    // refused at it.
+    Keyspace* live = devp->keyspaces().Find("bp").value();
+    std::uint64_t admitted = 0;
+    for (std::uint64_t k = kKeys;; ++k) {
+      KVCSD_CO_ASSERT(k < 10 * kKeys);
+      KVCSD_CO_ASSERT(live->state == KeyspaceState::kRecompacting);
+      const std::uint64_t before = index_bytes();
+      std::string value = "fresh-" + std::to_string(k);
+      Status s = co_await ks.Put(MakeFixedKey(k), value);
+      if (before >= 2 * kWatermark) {
+        KVCSD_CO_ASSERT(s.code() == StatusCode::kBusy);
+        break;
+      }
+      KVCSD_CO_ASSERT_OK(s);
+      model[MakeFixedKey(k)] = std::move(value);
+      ++admitted;
+    }
+    KVCSD_CO_ASSERT(admitted > 0);
+    const Status failed = co_await ks.WaitCompaction();
+    KVCSD_CO_ASSERT(failed.code() == StatusCode::kIoError);
+    KVCSD_CO_ASSERT(fi->errors_injected() == 1);
+
+    // The failed fold kept the writes made during it.
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(model)));
+
+    // No fold runs now: the next write is admitted and starts one.
+    model[MakeFixedKey(0)] = "retry";
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(0), "retry"));
+    KVCSD_CO_ASSERT(folds() == 2);
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    KVCSD_CO_ASSERT(index_bytes() == 0);
+    rows.clear();
+    KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(model)));
+  }(&db, &dev, &sim, &faults));
+}
+
+// --------------------------------------------------------------------------
+// Fold commit races. (a) No other snapshot is serialized between a fold's
+// install and the end of its commit persist or rollback. (b) A stage that
+// fails midway releases the output clusters it already allocated.
+// --------------------------------------------------------------------------
+
+// The commit persist fails 200 us in; a CreateKeyspace lands in that
+// window, and the fold's rollback persist fails too. Had the create's
+// snapshot captured the install, recovery would load a table whose new
+// index clusters the rollback released, with the delta logs gone. It waits
+// for the window instead, so recovery rolls the fold back.
+TEST(MutabilityTest, SnapshotInCommitWindowWaitsForTheCommit) {
+  PowerCycleFixture f(SmallDevice());
+  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
+                             sim::Simulation* sim,
+                             sim::FaultInjector* fi) -> sim::Task<void> {
+    auto ks = co_await LoadWithScatteredDelta(db, "race");
+    KVCSD_CO_ASSERT_OK(ks);
+    sim::ErrorRule commit;  // RECOMPACTING passes, the commit fails
+    commit.op = sim::FaultOp::kAppend;
+    commit.zone = dev->keyspaces().current_meta_zone();
+    commit.skip = 1;
+    commit.latency = Microseconds(200);
+    fi->AddErrorRule(commit);
+    sim::ErrorRule rollback = commit;  // sees RECOMPACTING and the create
+    rollback.skip = 2;
+    rollback.latency = 0;
+    fi->AddErrorRule(rollback);
+
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    co_await AwaitCommitWindow(sim, dev->keyspaces().Find("race").value());
+    KVCSD_CO_ASSERT_OK(co_await db->CreateKeyspace("bystander"));
+    const Status folded = co_await ks->WaitCompaction();
+    KVCSD_CO_ASSERT(folded.code() == StatusCode::kIoError);
+    KVCSD_CO_ASSERT(fi->errors_injected() == 2);
+  }(f.db.get(), f.dev(), &f.sim, &f.faults));
+
+  f.faults.Crash();
+  f.Restart();
+  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+  }(f.dev()));
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await db->OpenKeyspace("bystander"));
+    auto ks = co_await db->OpenKeyspace("race");
+    KVCSD_CO_ASSERT_OK(ks);
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(ScatteredModel())));
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(f.db.get()));
+}
+
+// A delete-only delta writes no values, so the fold's appends are the
+// RECOMPACTING persist, then PIDX batches. The second PIDX batch fails:
+// the cluster the first one allocated must be released with the job, so
+// the free-zone count returns to its pre-fold value without a restart.
+TEST(MutabilityTest, FailedFoldStageReleasesItsOutput) {
+  sim::Simulation sim;
+  sim::FaultInjector faults{4};
+  DeviceConfig cfg = SmallDevice();
+  cfg.zns.faults = &faults;
+  cfg.output_batch_bytes = KiB(16);
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+
+  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
+                           sim::FaultInjector* fi) -> sim::Task<void> {
+    auto ks = (co_await dbp->CreateKeyspace("leak")).value();
+    auto writer = ks.NewBulkWriter();
+    for (std::uint64_t i = 0; i < kLiveKeys; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await writer.Add(
+          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+    }
+    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    for (std::uint64_t i = 0; i < kLiveKeys; i += 10) {
+      KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(i)));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks.Sync());
+    const std::size_t free_before = devp->zones().free_zones();
+
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kAppend;
+    rule.skip = 2;
+    fi->AddErrorRule(rule);
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    const Status folded = co_await ks.WaitCompaction();
+    KVCSD_CO_ASSERT(folded.code() == StatusCode::kIoError);
+    KVCSD_CO_ASSERT(fi->errors_injected() == 1);
+    KVCSD_CO_ASSERT(devp->zones().free_zones() == free_before);
+
+    auto stat = co_await ks.GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->state == "COMPACTED");
+    KVCSD_CO_ASSERT((co_await ks.Get(MakeFixedKey(10))).status().IsNotFound());
+    KVCSD_CO_ASSERT_OK(co_await ks.Get(MakeFixedKey(11)));
+  }(&db, &dev, &faults));
 }
 
 }  // namespace
