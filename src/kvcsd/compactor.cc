@@ -29,10 +29,18 @@
 // keys are extracted while the values are already in DRAM during phase 2,
 // skipping the re-read at the cost of extra DRAM pressure). Fused per-spec
 // merges run concurrently in a TaskGroup.
+//
+// Output: every index block any job writes (PIDX and SIDX, compaction,
+// index build and fold alike) goes through the one IndexBlockWriter, and
+// every sorted value through WriteSortedValues, so block boundaries,
+// batching and sketch addressing have one definition. Every cluster a
+// job allocates joins its scratch list as it is allocated; RunJob
+// releases them if the job fails. Both jobs here end in CommitRun.
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "common/bloom.h"
@@ -72,7 +80,8 @@ struct Device::RunGenOutput {
 
 sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
                                            std::uint64_t run_budget,
-                                           RunGenOutput* out) {
+                                           RunGenOutput* out,
+                                           std::vector<ClusterId>* scratch) {
   // One track per worker share keeps concurrent run-gen spans on separate
   // viewer rows (zone index mod the share count matches the fan-out width).
   sim::TraceSpan span(sim_,
@@ -103,7 +112,7 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
       co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
       auto addr = co_await AppendToChain(&out->temp_clusters, ZoneType::kTemp,
                                          Slice(chunk).bytes(),
-                                         sim::Activity::kCompact);
+                                         sim::Activity::kCompact, scratch);
       if (!addr.ok()) co_return addr.status();
       compaction_stats_.bytes_written += chunk.size();
       spilled.segments.emplace_back(*addr,
@@ -148,6 +157,104 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
 }
 
 // ---------------------------------------------------------------------------
+// Job output: the one index-block writer and the one sorted-value writer
+// ---------------------------------------------------------------------------
+
+Device::IndexBlockWriter::IndexBlockWriter(Device* device,
+                                           std::vector<ClusterId>* chain,
+                                           ZoneType type,
+                                           std::vector<SketchEntry>* sketch,
+                                           sim::Activity act,
+                                           std::vector<ClusterId>* scratch)
+    : device_(device),
+      chain_(chain),
+      type_(type),
+      sketch_(sketch),
+      act_(act),
+      scratch_(scratch),
+      block_size_(device->config_.index_block_size) {
+  wire::BeginIndexBlock(&block_);
+  batch_.reserve(device->config_.output_batch_bytes);
+}
+
+std::string* Device::IndexBlockWriter::Entry(std::size_t entry_size,
+                                             const std::string& pivot) {
+  if (block_.size() + entry_size > block_size_) CloseBlock();
+  if (count_ == 0) {
+    open_slot_ = sketch_->size();
+    sketch_->push_back(SketchEntry{pivot, 0, block_size_});
+  }
+  ++count_;
+  return &block_;
+}
+
+void Device::IndexBlockWriter::CloseBlock() {
+  if (count_ == 0) return;
+  wire::FinishIndexBlock(&block_, count_, block_size_);
+  batch_ += block_;
+  batch_slots_.push_back(open_slot_);
+  wire::BeginIndexBlock(&block_);
+  count_ = 0;
+}
+
+sim::Task<Status> Device::IndexBlockWriter::Flush() {
+  if (batch_.empty()) co_return Status::Ok();
+  co_await device_->cpu_.Compute(device_->config_.costs.io_path_overhead,
+                                 act_);
+  auto addr = co_await device_->AppendToChain(
+      chain_, type_, Slice(batch_).bytes(), act_, scratch_);
+  if (!addr.ok()) co_return addr.status();
+  device_->compaction_stats_.bytes_written += batch_.size();
+  for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
+    (*sketch_)[batch_slots_[i]].block_addr = *addr + i * block_size_;
+  }
+  batch_.clear();
+  batch_slots_.clear();
+  co_return Status::Ok();
+}
+
+sim::Task<Status> Device::WriteSortedValues(
+    std::vector<ClusterId>* chain, const std::vector<std::string>& values,
+    std::vector<std::uint64_t>* addrs, sim::Activity act,
+    std::vector<ClusterId>* scratch) {
+  addrs->assign(values.size(), 0);
+  std::string chunk;
+  chunk.reserve(config_.output_batch_bytes);
+  std::size_t chunk_first = 0;
+  auto flush = [&](std::size_t upto) -> sim::Task<Status> {
+    if (chunk.empty()) co_return Status::Ok();
+    co_await cpu_.Compute(config_.costs.io_path_overhead, act);
+    auto addr = co_await AppendToChain(chain, ZoneType::kSortedValues,
+                                       Slice(chunk).bytes(), act, scratch);
+    if (!addr.ok()) co_return addr.status();
+    compaction_stats_.bytes_written += chunk.size();
+    std::uint64_t offset = 0;
+    for (std::size_t i = chunk_first; i < upto; ++i) {
+      (*addrs)[i] = *addr + offset;
+      offset += values[i].size();
+    }
+    chunk.clear();
+    chunk_first = upto;
+    co_return Status::Ok();
+  };
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (chunk.size() + values[i].size() > config_.output_batch_bytes &&
+        !chunk.empty()) {
+      KVCSD_CO_RETURN_IF_ERROR(co_await flush(i));
+    }
+    chunk += values[i];
+  }
+  co_return co_await flush(values.size());
+}
+
+sim::Task<void> Device::ReleaseScratch(std::vector<ClusterId> ids,
+                                      std::vector<ClusterId>* scratch) {
+  const std::set<ClusterId> done(ids.begin(), ids.end());
+  std::erase_if(*scratch, [&done](ClusterId id) { return done.contains(id); });
+  co_await ReleaseClustersBestEffort(std::move(ids));
+}
+
+// ---------------------------------------------------------------------------
 // SIDX external sort (shared by the separate and fused index builds)
 // ---------------------------------------------------------------------------
 
@@ -163,7 +270,7 @@ sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
     co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
     auto addr = co_await AppendToChain(&state->temp_clusters,
                                        ZoneType::kTemp, Slice(chunk).bytes(),
-                                       sim::Activity::kCompact);
+                                       sim::Activity::kCompact, state->scratch);
     if (!addr.ok()) co_return addr.status();
     compaction_stats_.bytes_written += chunk.size();
     spilled.segments.emplace_back(*addr,
@@ -209,48 +316,9 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 
   SecondaryIndex& sidx = *out;
   sidx.spec = spec;
-  std::string block;
-  wire::BeginIndexBlock(&block);
-  std::uint16_t block_count = 0;
-  std::string block_pivot;
-  std::vector<std::pair<std::string, std::string>> pending_blocks;
-  std::uint64_t pending_bytes = 0;
-
-  auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (pending_blocks.empty()) co_return Status::Ok();
-    std::string blob;
-    blob.reserve(pending_bytes);
-    for (const auto& [pivot, b] : pending_blocks) blob += b;
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&sidx.sidx_clusters, ZoneType::kSidx,
-                                       Slice(blob).bytes(),
-                                       sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
-      sidx.sketch.push_back(SketchEntry{
-          pending_blocks[i].first,
-          *addr + i * config_.index_block_size, config_.index_block_size});
-    }
-    pending_blocks.clear();
-    pending_bytes = 0;
-    co_return Status::Ok();
-  };
-
-  auto close_block = [&]() -> sim::Task<Status> {
-    if (block_count == 0) co_return Status::Ok();
-    wire::FinishIndexBlock(&block, block_count, config_.index_block_size);
-    pending_blocks.emplace_back(std::move(block_pivot), std::move(block));
-    pending_bytes += config_.index_block_size;
-    wire::BeginIndexBlock(&block);
-    block_count = 0;
-    block_pivot.clear();
-    if (pending_bytes >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
-    }
-    co_return Status::Ok();
-  };
-
+  IndexBlockWriter writer(this, &sidx.sidx_clusters, ZoneType::kSidx,
+                          &sidx.sketch, sim::Activity::kCompact,
+                          state->scratch);
   std::uint64_t merged = 0;
   while (!merger.Empty()) {
     SidxTuple t;
@@ -261,22 +329,21 @@ sim::Task<Status> Device::SidxMergeToBlocks(
       co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
       merged = 0;
     }
-    if (block.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-        config_.index_block_size) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
-    }
-    if (block_count == 0) block_pivot = t.skey;
-    wire::AppendSidxEntry(&block, t.skey, t.pkey, t.vaddr, t.vlen);
-    ++block_count;
+    wire::AppendSidxEntry(
+        writer.Entry(wire::SidxEntrySize(t.skey, t.pkey), t.skey), t.skey,
+        t.pkey, t.vaddr, t.vlen);
     ++sidx.entries;
+    if (writer.batch_full()) {
+      KVCSD_CO_RETURN_IF_ERROR(co_await writer.Flush());
+    }
   }
   if (merged > 0) {
     co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
   }
-  KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
-  KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+  writer.CloseBlock();
+  KVCSD_CO_RETURN_IF_ERROR(co_await writer.Flush());
 
-  co_await ReleaseClustersBestEffort(std::move(state->temp_clusters));
+  co_await ReleaseScratch(std::move(state->temp_clusters), state->scratch);
   state->temp_clusters.clear();
   state->runs.clear();
   co_return Status::Ok();
@@ -306,53 +373,16 @@ struct Device::PidxPipeline {
   BloomFilterBuilder* bloom = nullptr;
   std::vector<SketchEntry> sketch;
   std::vector<ClusterId> pidx_clusters;
+  std::vector<ClusterId>* scratch = nullptr;
   std::uint64_t entries_total = 0;
   // Set when the consumer fails; the producer stops feeding new batches.
   bool failed = false;
 };
 
 sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
-  std::string block;
-  wire::BeginIndexBlock(&block);
-  std::uint16_t block_count = 0;
-  std::string block_pivot;
-  std::vector<std::pair<std::string, std::string>> pending_blocks;
-  std::uint64_t pending_bytes = 0;
-
-  auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (pending_blocks.empty()) co_return Status::Ok();
-    std::string blob;
-    blob.reserve(pending_bytes);
-    for (const auto& [pivot, b] : pending_blocks) blob += b;
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&pipe->pidx_clusters, ZoneType::kPidx,
-                                       Slice(blob).bytes(),
-                                       sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
-      pipe->sketch.push_back(SketchEntry{
-          pending_blocks[i].first,
-          *addr + i * config_.index_block_size, config_.index_block_size});
-    }
-    pending_blocks.clear();
-    pending_bytes = 0;
-    co_return Status::Ok();
-  };
-
-  auto close_block = [&]() -> sim::Task<Status> {
-    if (block_count == 0) co_return Status::Ok();
-    wire::FinishIndexBlock(&block, block_count, config_.index_block_size);
-    pending_blocks.emplace_back(std::move(block_pivot), std::move(block));
-    pending_bytes += config_.index_block_size;
-    wire::BeginIndexBlock(&block);
-    block_count = 0;
-    block_pivot.clear();
-    if (pending_bytes >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
-    }
-    co_return Status::Ok();
-  };
+  IndexBlockWriter writer(this, &pipe->pidx_clusters, ZoneType::kPidx,
+                          &pipe->sketch, sim::Activity::kCompact,
+                          pipe->scratch);
 
   auto process = [&](ValueBatch& b) -> sim::Task<Status> {
     // Fused secondary-key extraction touches every value byte while the
@@ -364,13 +394,11 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
     std::uint64_t bloom_key_bytes = 0;
     for (std::size_t i = 0; i < b.entries.size(); ++i) {
       const KlogEntry& e = b.entries[i];
-      if (block.size() + wire::PidxEntrySize(e.key) >
-          config_.index_block_size) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
+      wire::AppendPidxEntry(writer.Entry(wire::PidxEntrySize(e.key), e.key),
+                            e.key, b.new_addrs[i], e.value_len);
+      if (writer.batch_full()) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await writer.Flush());
       }
-      if (block_count == 0) block_pivot = e.key;
-      wire::AppendPidxEntry(&block, e.key, b.new_addrs[i], e.value_len);
-      ++block_count;
       if (pipe->bloom != nullptr) {
         pipe->bloom->AddKey(Slice(e.key));
         bloom_key_bytes += e.key.size();
@@ -406,8 +434,10 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
       pipe->failed = true;
     }
   }
-  if (result.ok()) result = co_await close_block();
-  if (result.ok()) result = co_await flush_blocks();
+  if (result.ok()) {
+    writer.CloseBlock();
+    result = co_await writer.Flush();
+  }
   if (!result.ok()) pipe->failed = true;
   co_return result;
 }
@@ -419,11 +449,15 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 sim::Task<Status> Device::RunCompaction(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::vector<ClusterId>* scratch) {
-  // Flush whatever is still buffered in DRAM and drain in-flight flush
-  // I/O: compaction must observe complete KLOG/VLOG logs.
-  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
+  // Seal the logs: compaction consumes exactly the sealed generation, and
+  // no install touches the live chains (writes bounce while COMPACTING,
+  // but the commit window already admits them into the live delta).
+  auto sealed = co_await SealLogs(ks);
+  KVCSD_CO_RETURN_IF_ERROR(sealed.status());
+  const std::uint64_t seal_seq = *sealed;
+  Runtime(ks).write_lock.Release();
 
-  // Make the COMPACTING state and the final log extents durable before
+  // Make the COMPACTING state and the sealed log extents durable before
   // any output is written: recovery must know to roll this keyspace back
   // and which clusters hold its logs.
   KVCSD_CO_RETURN_IF_ERROR(co_await keyspace_manager_.Persist());
@@ -435,12 +469,15 @@ sim::Task<Status> Device::RunCompaction(
       config_.EffectiveSortRunBytes() / budget_shares;
 
   std::vector<SidxSortState> fused_states(fused_specs.size());
-  for (auto& state : fused_states) state.run_budget = run_budget;
+  for (auto& state : fused_states) {
+    state.run_budget = run_budget;
+    state.scratch = scratch;
+  }
 
   // ---- Phase 1: parallel run generation over the KLOG zones ----
   const Tick phase1_start = sim_->Now();
   std::vector<std::uint32_t> klog_zones;
-  for (ClusterId cluster : ks->klog_clusters) {
+  for (ClusterId cluster : ks->sealed_klog_clusters) {
     for (std::uint32_t zone : zone_manager_.cluster_zones(cluster)) {
       klog_zones.push_back(zone);
     }
@@ -454,11 +491,9 @@ sim::Task<Status> Device::RunCompaction(
 
   std::vector<RunGenOutput> gen_outputs(klog_zones.size());
   auto gen_fn = [&](std::size_t i) -> sim::Task<Status> {
-    return GenerateZoneRuns(klog_zones[i], gen_budget, &gen_outputs[i]);
+    return GenerateZoneRuns(klog_zones[i], gen_budget, &gen_outputs[i],
+                            scratch);
   };
-  // ParallelFor joins ALL workers before returning, so every allocated
-  // TEMP cluster is visible in gen_outputs even when a worker failed —
-  // record them in `scratch` before acting on the status.
   const Status gen_status =
       co_await sim::ParallelFor(sim_, klog_zones.size(), gen_workers, gen_fn);
 
@@ -471,7 +506,6 @@ sim::Task<Status> Device::RunCompaction(
     temp_clusters.insert(temp_clusters.end(), out.temp_clusters.begin(),
                          out.temp_clusters.end());
   }
-  scratch->insert(scratch->end(), temp_clusters.begin(), temp_clusters.end());
   KVCSD_CO_RETURN_IF_ERROR(gen_status);
   if (CrashPoint("compact.after_phase1")) {
     co_return Status::IoError("simulated power loss after run generation");
@@ -507,6 +541,7 @@ sim::Task<Status> Device::RunCompaction(
   pipe.specs = &fused_specs;
   pipe.sidx_states = &fused_states;
   pipe.bloom = bloom.has_value() ? &*bloom : nullptr;
+  pipe.scratch = scratch;
   sim::TaskGroup index_stage(sim_);
   index_stage.Spawn(IndexBuildStage(&pipe));
 
@@ -530,37 +565,9 @@ sim::Task<Status> Device::RunCompaction(
     co_await cpu_.ComputeBytes(b->value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
     b->values = std::move(*values);
-    b->new_addrs.assign(b->entries.size(), 0);
-
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::size_t chunk_first = 0;
-    auto flush_values = [&](std::size_t upto) -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-      auto addr = co_await AppendToChain(&value_clusters,
-                                         ZoneType::kSortedValues,
-                                         Slice(chunk).bytes(),
-                                         sim::Activity::kCompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      std::uint64_t offset = 0;
-      for (std::size_t i = chunk_first; i < upto; ++i) {
-        b->new_addrs[i] = *addr + offset;
-        offset += b->values[i].size();
-      }
-      chunk.clear();
-      chunk_first = upto;
-      co_return Status::Ok();
-    };
-    for (std::size_t i = 0; i < b->entries.size(); ++i) {
-      if (chunk.size() + b->values[i].size() > config_.output_batch_bytes &&
-          !chunk.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_values(i));
-      }
-      chunk += b->values[i];
-    }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_values(b->entries.size()));
+    KVCSD_CO_RETURN_IF_ERROR(co_await WriteSortedValues(
+        &value_clusters, b->values, &b->new_addrs, sim::Activity::kCompact,
+        scratch));
 
     co_await batches.Push(std::move(b));
     co_return Status::Ok();
@@ -624,19 +631,9 @@ sim::Task<Status> Device::RunCompaction(
     }
   }
   // Always close + join: the consumer must see end-of-stream even on the
-  // error paths, or one side would wait forever. With both stages joined,
-  // every cluster the pipeline allocated is visible — record them before
-  // acting on either status.
+  // error paths, or one side would wait forever.
   batches.Close();
   Status index_status = co_await index_stage.Wait();
-  scratch->insert(scratch->end(), value_clusters.begin(),
-                  value_clusters.end());
-  scratch->insert(scratch->end(), pipe.pidx_clusters.begin(),
-                  pipe.pidx_clusters.end());
-  for (const SidxSortState& state : fused_states) {
-    scratch->insert(scratch->end(), state.temp_clusters.begin(),
-                    state.temp_clusters.end());
-  }
   KVCSD_CO_RETURN_IF_ERROR(pipeline_status);
   KVCSD_CO_RETURN_IF_ERROR(index_status);
 
@@ -649,19 +646,7 @@ sim::Task<Status> Device::RunCompaction(
       merges.Spawn(
           SidxMergeToBlocks(&fused_states[i], fused_specs[i], &fused_out[i]));
     }
-    const Status merge_status = co_await merges.Wait();
-    // The merges may have spilled more TEMP clusters and written SIDX
-    // output; duplicates with the release above are harmless (cluster ids
-    // are never reused, a double release is an ignored NotFound).
-    for (const SidxSortState& state : fused_states) {
-      scratch->insert(scratch->end(), state.temp_clusters.begin(),
-                      state.temp_clusters.end());
-    }
-    for (const SecondaryIndex& sidx : fused_out) {
-      scratch->insert(scratch->end(), sidx.sidx_clusters.begin(),
-                      sidx.sidx_clusters.end());
-    }
-    KVCSD_CO_RETURN_IF_ERROR(merge_status);
+    KVCSD_CO_RETURN_IF_ERROR(co_await merges.Wait());
     for (std::size_t i = 0; i < fused_specs.size(); ++i) {
       fused_indexes[fused_specs[i].name] = std::move(fused_out[i]);
     }
@@ -680,70 +665,27 @@ sim::Task<Status> Device::RunCompaction(
 
   // ---- Commit ----
   // Phase-1 temporaries are dead weight either way; drop them first.
-  co_await ReleaseClustersBestEffort(std::move(temp_clusters));
-  if (CrashPoint("compact.before_commit")) {
-    co_return Status::IoError("simulated power loss before commit");
-  }
-
-  // Install the outputs and persist — the commit point. The snapshot is
-  // written while the OLD log clusters are still allocated, so whichever
-  // snapshot recovery loads, every cluster it references exists; the
-  // stale side only ever leaks clusters (reclaimed as unreferenced),
-  // never dangles. On a persist failure, un-install symmetrically and
-  // report the compaction as failed.
-  std::vector<ClusterId> old_klog = std::move(ks->klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->vlog_clusters);
-  const std::uint64_t old_klog_bytes = ks->klog_bytes;
-  const std::uint64_t old_vlog_bytes = ks->vlog_bytes;
-  const std::uint64_t old_num_kvs = ks->num_kvs;
-  const std::uint64_t old_run_entries = ks->run_entries;
-  ks->klog_clusters.clear();
-  ks->vlog_clusters.clear();
-  ks->klog_bytes = 0;
-  ks->vlog_bytes = 0;
-  ks->pidx_clusters = std::move(pipe.pidx_clusters);
-  ks->sorted_value_clusters = std::move(value_clusters);
-  ks->pidx_sketch = std::move(pipe.sketch);
+  co_await ReleaseScratch(std::move(temp_clusters), scratch);
+  RunLayout next;
+  next.pidx_clusters = std::move(pipe.pidx_clusters);
+  next.sorted_value_clusters = std::move(value_clusters);
+  next.pidx_sketch = std::move(pipe.sketch);
   // The bloom filter rides the same snapshot as the sketch, so recovery
   // restores both or neither; empty when bloom is disabled.
-  ks->pidx_bloom = bloom.has_value() ? bloom->Finish() : std::string();
+  next.pidx_bloom = bloom.has_value() ? bloom->Finish() : std::string();
+  next.secondary_indexes = std::move(fused_indexes);
   // After the LWW pass, entries_total is the exact count of distinct live
   // keys in the run (duplicates collapsed, tombstone winners dropped).
-  ks->num_kvs = pipe.entries_total;
-  ks->run_entries = pipe.entries_total;
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->secondary_indexes = std::move(fused_indexes);
-  ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
-  if (!commit.ok()) {
-    ks->pidx_clusters.clear();
-    ks->sorted_value_clusters.clear();
-    ks->pidx_sketch.clear();
-    ks->pidx_bloom.clear();
-    ks->secondary_indexes.clear();
-    ks->klog_clusters = std::move(old_klog);
-    ks->vlog_clusters = std::move(old_vlog);
-    ks->klog_bytes = old_klog_bytes;
-    ks->vlog_bytes = old_vlog_bytes;
-    ks->num_kvs = old_num_kvs;
-    ks->run_entries = old_run_entries;
-    ks->state = KeyspaceState::kCompacting;
-    co_return commit;
-  }
-  ++compactions_done_;
-  scratch->clear();  // the outputs are now owned by the durable snapshot
-  // Any cached index blocks for this keyspace id predate the new PIDX
-  // layout (possible only on re-compaction after a rollback); drop them so
-  // queries can never read a stale block through the cache.
-  index_cache_.EraseKeyspace(ks->id);
+  next.entries = pipe.entries_total;
+  auto garbage = co_await CommitRun(ks, JobKind::kCompaction, std::move(next),
+                                    seal_seq);
+  KVCSD_CO_RETURN_IF_ERROR(garbage.status());
 
   // Past the commit point the compaction HAS happened; a crash here loses
   // nothing (recovery reclaims the old logs as unreferenced clusters) and
   // the release below is best-effort for the same reason.
   (void)CrashPoint("compact.after_commit");
-  co_await ReleaseClustersBestEffort(std::move(old_klog));
-  co_await ReleaseClustersBestEffort(std::move(old_vlog));
+  co_await ReleaseClustersBestEffort(std::move(*garbage));
   co_return Status::Ok();
 }
 
@@ -752,42 +694,12 @@ sim::Task<Status> Device::RunCompaction(
 // ---------------------------------------------------------------------------
 
 sim::Task<Status> Device::BuildSecondaryIndex(
-    Keyspace* ks, const nvme::SecondaryIndexSpec& spec) {
-  if (ks->state != KeyspaceState::kCompacted) {
-    co_return Status::FailedPrecondition(
-        "secondary indexes attach to COMPACTED keyspaces only");
-  }
-  if (spec.name.empty()) {
-    co_return Status::InvalidArgument("secondary index needs a name");
-  }
-  if (ks->secondary_indexes.contains(spec.name)) {
-    co_return Status::AlreadyExists("secondary index exists: " + spec.name);
-  }
-
+    Keyspace* ks, const nvme::SecondaryIndexSpec& spec,
+    std::vector<ClusterId>* scratch) {
   SidxSortState state;
   state.run_budget = config_.EffectiveSortRunBytes();
-  SecondaryIndex sidx;
-  Status result = co_await BuildSecondaryIndexInner(ks, spec, &state, &sidx);
-  if (result.ok()) {
-    ks->secondary_indexes[spec.name] = std::move(sidx);
-    result = co_await keyspace_manager_.Persist();
-    if (result.ok()) co_return result;
-    // Persist failed: the index exists in DRAM only; un-install so the
-    // live table matches what a restart would recover, then fall through
-    // to release its clusters.
-    sidx = std::move(ks->secondary_indexes[spec.name]);
-    ks->secondary_indexes.erase(spec.name);
-  }
-  std::vector<ClusterId> doomed = std::move(state.temp_clusters);
-  doomed.insert(doomed.end(), sidx.sidx_clusters.begin(),
-                sidx.sidx_clusters.end());
-  co_await ReleaseClustersBestEffort(std::move(doomed));
-  co_return result;
-}
+  state.scratch = scratch;
 
-sim::Task<Status> Device::BuildSecondaryIndexInner(
-    Keyspace* ks, const nvme::SecondaryIndexSpec& spec, SidxSortState* state,
-    SecondaryIndex* out) {
   // Step 1 (paper): full scan extracting <skey, pkey> pairs. Walk PIDX
   // blocks via the sketch; gather values batch-wise; extract.
   std::vector<ValueRef> batch_refs;
@@ -806,7 +718,7 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
       if (!skey.ok()) co_return skey.status();
       SidxTuple tuple{std::move(*skey), batch_meta[i].first,
                       batch_meta[i].second, batch_lens[i]};
-      KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(state, std::move(tuple)));
+      KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(&state, std::move(tuple)));
     }
     batch_refs.clear();
     batch_meta.clear();
@@ -815,7 +727,7 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     co_return Status::Ok();
   };
 
-  for (const SketchEntry& block_ref : ks->pidx_sketch) {
+  for (const SketchEntry& block_ref : ks->run.pidx_sketch) {
     auto block = co_await ReadIndexBlock(ks->id, block_ref, sim::Activity::kCompact);
     if (!block.ok()) co_return block.status();
     std::uint16_t count = 0;
@@ -840,7 +752,17 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
   KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
 
   // Step 2: merge runs into SIDX blocks + sketch.
-  co_return co_await SidxMergeToBlocks(state, spec, out);
+  SecondaryIndex sidx;
+  KVCSD_CO_RETURN_IF_ERROR(co_await SidxMergeToBlocks(&state, spec, &sidx));
+
+  // Step 3: commit the run with the index added. No other job can have
+  // changed the run meanwhile, and the index adds clusters only, so the
+  // commit makes no garbage.
+  RunLayout next = ks->run;
+  next.secondary_indexes[spec.name] = std::move(sidx);
+  co_return (co_await CommitRun(ks, JobKind::kIndexBuild, std::move(next),
+                                /*seal_seq=*/0))
+      .status();
 }
 
 }  // namespace kvcsd::device

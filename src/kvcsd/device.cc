@@ -1,6 +1,7 @@
 #include "kvcsd/device.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "common/coding.h"
@@ -471,20 +472,20 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
           ks->state == KeyspaceState::kCompacted) {
         // Re-compaction: fold the delta log into the existing sorted run
         // incrementally (DESIGN.md §12) instead of re-sorting everything.
-        // No delta: nothing to fold. A job still running here is a fold
-        // in its commit window (the state already reads COMPACTED); a
-        // second fold must not start beside it.
+        // No delta: nothing to fold. A job still running here — an index
+        // build, or a compaction or fold in its commit window (the state
+        // already reads COMPACTED) — must not get a fold beside it.
         if (!Runtime(ks).job_done.is_set()) {
           out.status = Status::FailedPrecondition(
-              "a fold is still committing; wait for it first");
+              "a keyspace job is still running; wait for it first");
         } else if (!ks->delta_index.empty()) {
-          LaunchJob(ks, KeyspaceState::kRecompacting, {}, cmd.cmd_id);
+          LaunchJob(ks, JobKind::kFold, {}, cmd.cmd_id);
         }
       } else if (ks->state == KeyspaceState::kWritable ||
                  ks->state == KeyspaceState::kEmpty) {
         // The fused variant also builds the requested secondary indexes
         // in the same pass (§V future work).
-        LaunchJob(ks, KeyspaceState::kCompacting,
+        LaunchJob(ks, JobKind::kCompaction,
                   cmd.opcode == nvme::Opcode::kCompactWithIndexes
                       ? std::move(cmd.sidx_list)
                       : std::vector<nvme::SecondaryIndexSpec>{},
@@ -506,7 +507,23 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       break;
     }
     case nvme::Opcode::kSecondaryBuild:
-      out.status = co_await BuildSecondaryIndex(ks, cmd.sidx);
+      // The build is a keyspace job; the command answers once it is over.
+      if (ks->state != KeyspaceState::kCompacted) {
+        out.status = Status::FailedPrecondition(
+            "secondary indexes attach to COMPACTED keyspaces only");
+      } else if (cmd.sidx.name.empty()) {
+        out.status = Status::InvalidArgument("secondary index needs a name");
+      } else if (ks->run.secondary_indexes.contains(cmd.sidx.name)) {
+        out.status =
+            Status::AlreadyExists("secondary index exists: " + cmd.sidx.name);
+      } else if (!Runtime(ks).job_done.is_set()) {
+        out.status = Status::FailedPrecondition(
+            "a keyspace job is still running; wait for it first");
+      } else {
+        LaunchJob(ks, JobKind::kIndexBuild, {cmd.sidx});
+        co_await Runtime(ks).job_done.Wait();
+        out.status = ks->last_compaction;
+      }
       break;
     case nvme::Opcode::kKvRetrieve: {
       ++queries_;
@@ -635,7 +652,7 @@ void Device::ApplyDeltaMutation(Keyspace* ks, const std::string& key,
   // Estimate: run overwrites double-count and run deletes don't subtract
   // (telling them apart needs an index lookup); re-compaction restores the
   // exact count. Recovery's delta replay computes the same value.
-  ks->num_kvs = ks->run_entries + ks->delta_live;
+  ks->num_kvs = ks->run.entries + ks->delta_live;
 }
 
 // The self-triggered counterpart of kCompact-on-COMPACTED: once the delta
@@ -661,7 +678,7 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
                           " B, folding");
   // A failed fold rolls back to COMPACTED and is retried at the next
   // crossing; kCompactWait reports it.
-  LaunchJob(ks, KeyspaceState::kRecompacting);
+  LaunchJob(ks, JobKind::kFold);
 }
 
 sim::Task<Status> Device::DrainWrites(Keyspace* ks, bool keep_lock) {
@@ -681,13 +698,14 @@ sim::Task<Status> Device::DrainWrites(Keyspace* ks, bool keep_lock) {
 }
 
 // ---------------------------------------------------------------------------
-// Background jobs: compaction and delta fold
+// Keyspace jobs: compaction, delta fold, secondary-index build
 // ---------------------------------------------------------------------------
 
-void Device::LaunchJob(Keyspace* ks, KeyspaceState state,
-                       std::vector<nvme::SecondaryIndexSpec> fused_specs,
+void Device::LaunchJob(Keyspace* ks, JobKind job,
+                       std::vector<nvme::SecondaryIndexSpec> specs,
                        std::uint64_t trigger_cmd_id) {
-  ks->state = state;
+  if (job == JobKind::kCompaction) ks->state = KeyspaceState::kCompacting;
+  if (job == JobKind::kFold) ks->state = KeyspaceState::kRecompacting;
   // The job pins the keyspace until its very end (RunJob's Unpin), so a
   // drop defers behind it even after the state has moved on.
   ++ks->inflight;
@@ -697,19 +715,23 @@ void Device::LaunchJob(Keyspace* ks, KeyspaceState state,
     sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
                              trigger_cmd_id, sim_->Now());
   }
-  sim_->Spawn(RunJob(ks, state == KeyspaceState::kRecompacting,
-                     std::move(fused_specs), trigger_cmd_id));
+  sim_->Spawn(RunJob(ks, job, std::move(specs), trigger_cmd_id));
 }
 
-sim::Task<void> Device::RunJob(
-    Keyspace* ks, bool fold, std::vector<nvme::SecondaryIndexSpec> fused_specs,
-    std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, fold ? "recompact" : "compact");
+sim::Task<void> Device::RunJob(Keyspace* ks, JobKind job,
+                               std::vector<nvme::SecondaryIndexSpec> specs,
+                               std::uint64_t trigger_cmd_id) {
+  static constexpr const char* kSpan[] = {"compact", "recompact",
+                                          "sidx_build"};
+  static constexpr const char* kWhat[] = {"compaction", "fold",
+                                          "index build"};
+  const auto kind = static_cast<std::size_t>(job);
+  sim::TraceSpan span(sim_, trk_compaction_, kSpan[kind]);
   span.Arg("keyspace", ks->name);
-  if (fold) {
+  if (job == JobKind::kFold) {
     span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
   } else {
-    span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
+    span.Arg("fused_indexes", static_cast<std::uint64_t>(specs.size()));
   }
   if (trigger_cmd_id != 0) {
     span.Arg("trigger_cmd_id", trigger_cmd_id);
@@ -723,31 +745,36 @@ sim::Task<void> Device::RunJob(
   ++compactions_running_;
   std::vector<ClusterId> scratch;
   Status result = Status::Ok();
-  if (fold) {
-    result = co_await RunRecompaction(ks, &scratch);
-  } else {
-    result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+  switch (job) {
+    case JobKind::kCompaction:
+      result = co_await RunCompaction(ks, std::move(specs), &scratch);
+      break;
+    case JobKind::kFold:
+      result = co_await RunRecompaction(ks, &scratch);
+      break;
+    case JobKind::kIndexBuild:
+      result = co_await BuildSecondaryIndex(ks, specs.front(), &scratch);
+      break;
   }
   --compactions_running_;
   if (!result.ok()) {
     co_await ReleaseClustersBestEffort(std::move(scratch));
-    if (fold) {
-      // The sealed generation goes back in front of the live one. The
-      // delta index never dropped an entry, so nothing else rolls back.
-      ks->klog_clusters.insert(ks->klog_clusters.begin(),
-                               ks->sealed_klog_clusters.begin(),
-                               ks->sealed_klog_clusters.end());
-      ks->vlog_clusters.insert(ks->vlog_clusters.begin(),
-                               ks->sealed_vlog_clusters.begin(),
-                               ks->sealed_vlog_clusters.end());
-      ks->sealed_klog_clusters.clear();
-      ks->sealed_vlog_clusters.clear();
-      ks->klog_bytes += std::exchange(ks->sealed_klog_bytes, 0);
-      ks->vlog_bytes += std::exchange(ks->sealed_vlog_bytes, 0);
-    }
-    if (fold && ks->state == KeyspaceState::kRecompacting) {
+    // The sealed generation goes back in front of the live one (a no-op
+    // for a job that sealed nothing). The delta index never dropped an
+    // entry, so nothing else rolls back.
+    ks->klog_clusters.insert(ks->klog_clusters.begin(),
+                             ks->sealed_klog_clusters.begin(),
+                             ks->sealed_klog_clusters.end());
+    ks->vlog_clusters.insert(ks->vlog_clusters.begin(),
+                             ks->sealed_vlog_clusters.begin(),
+                             ks->sealed_vlog_clusters.end());
+    ks->sealed_klog_clusters.clear();
+    ks->sealed_vlog_clusters.clear();
+    ks->klog_bytes += std::exchange(ks->sealed_klog_bytes, 0);
+    ks->vlog_bytes += std::exchange(ks->sealed_vlog_bytes, 0);
+    if (ks->state == KeyspaceState::kRecompacting) {
       ks->state = KeyspaceState::kCompacted;  // delta still pending
-    } else if (!fold && ks->state == KeyspaceState::kCompacting) {
+    } else if (ks->state == KeyspaceState::kCompacting) {
       ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
                                             : KeyspaceState::kWritable;
     }
@@ -759,11 +786,111 @@ sim::Task<void> Device::RunJob(
       WarnDiscarded("rollback persist of keyspace '" + ks->name + "'",
                     persisted);
     }
-    ReportBackgroundFailure(fold ? "fold" : "compaction", *ks, result);
+    ReportBackgroundFailure(kWhat[kind], *ks, result);
   }
   ks->last_compaction = result;
   Runtime(ks).job_done.Set();
   co_await Unpin(ks);  // runs a drop deferred behind the job
+}
+
+sim::Task<Result<std::uint64_t>> Device::SealLogs(Keyspace* ks) {
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks, /*keep_lock=*/true));
+  ks->sealed_klog_clusters = std::exchange(ks->klog_clusters, {});
+  ks->sealed_vlog_clusters = std::exchange(ks->vlog_clusters, {});
+  ks->sealed_klog_bytes = std::exchange(ks->klog_bytes, 0);
+  ks->sealed_vlog_bytes = std::exchange(ks->vlog_bytes, 0);
+  co_return ks->next_seq;
+}
+
+sim::Task<Result<std::vector<ClusterId>>> Device::CommitRun(
+    Keyspace* ks, JobKind job, RunLayout next, std::uint64_t seal_seq) {
+  // Close the gate, then drain the readers still in flight: the swap
+  // below replaces clusters and sketches a running scan may be
+  // dereferencing. Queries arriving from here wait in AwaitQueryable
+  // until the persist or its rollback is done; writes keep landing in the
+  // live generation.
+  KeyspaceRuntime& rt = Runtime(ks);
+  rt.commit_gate.Reset();
+  while (ks->active_readers > 0) {
+    rt.readers_idle.Reset();
+    if (ks->active_readers == 0) break;
+    co_await rt.readers_idle.Wait();
+  }
+  if ((job == JobKind::kCompaction && CrashPoint("compact.before_commit")) ||
+      (job == JobKind::kFold && CrashPoint("recompact.before_commit"))) {
+    rt.commit_gate.Set();
+    co_return Status::IoError("simulated power loss before commit");
+  }
+  // From the swap until the commit persist or its rollback returns, no
+  // other snapshot may capture the table.
+  co_await keyspace_manager_.BeginCommit();
+
+  // Swap in the new layout; `next` holds the old one from here. The
+  // snapshot is written while every old cluster is still allocated, so
+  // whichever snapshot recovery loads, every cluster it references
+  // exists: the stale side only ever leaks clusters, never dangles.
+  const KeyspaceState job_state = ks->state;
+  const std::uint64_t old_num_kvs = ks->num_kvs;
+  std::swap(ks->run, next);
+  std::vector<ClusterId> sealed_klog =
+      std::exchange(ks->sealed_klog_clusters, {});
+  std::vector<ClusterId> sealed_vlog =
+      std::exchange(ks->sealed_vlog_clusters, {});
+  const std::uint64_t sealed_klog_bytes =
+      std::exchange(ks->sealed_klog_bytes, 0);
+  const std::uint64_t sealed_vlog_bytes =
+      std::exchange(ks->sealed_vlog_bytes, 0);
+  ks->state = KeyspaceState::kCompacted;
+  Status commit = co_await keyspace_manager_.PersistCommit();
+  if (!commit.ok()) {
+    std::swap(ks->run, next);
+    ks->sealed_klog_clusters = std::move(sealed_klog);
+    ks->sealed_vlog_clusters = std::move(sealed_vlog);
+    ks->sealed_klog_bytes = sealed_klog_bytes;
+    ks->sealed_vlog_bytes = sealed_vlog_bytes;
+    ks->state = job_state;  // RunJob rolls back from here
+    // Writes admitted in the window went to the delta against the new
+    // run; recount against the old one (a WRITABLE keyspace counts log
+    // records, one per mutation sequence).
+    ks->num_kvs = job == JobKind::kCompaction
+                      ? old_num_kvs + (ks->next_seq - seal_seq)
+                      : ks->run.entries + ks->delta_live;
+    keyspace_manager_.EndCommit();
+    rt.commit_gate.Set();  // readers resume on the restored state
+    co_return commit;
+  }
+  // The sealed generation is in the run now: drop its entries. Entries
+  // written since the seal carry seq >= seal_seq and stay pending.
+  for (auto it = ks->delta_index.begin(); it != ks->delta_index.end();) {
+    const DeltaEntry& entry = it->second;
+    if (entry.seq >= seal_seq) {
+      ++it;
+      continue;
+    }
+    ks->delta_index_bytes -=
+        kDeltaEntryOverhead + it->first.size() + entry.value.size();
+    if (!entry.tombstone) --ks->delta_live;
+    it = ks->delta_index.erase(it);
+  }
+  ks->num_kvs = ks->run.entries + ks->delta_live;
+  if (job != JobKind::kIndexBuild) {
+    ++compactions_done_;
+    // Blocks of the old layout must never be served from DRAM again (a
+    // fold's retained blocks keep their addresses and simply re-miss). An
+    // index build only adds blocks, so what is cached stays valid.
+    index_cache_.EraseKeyspace(ks->id);
+  }
+  keyspace_manager_.EndCommit();
+  rt.commit_gate.Set();
+
+  std::vector<ClusterId> garbage = std::move(sealed_klog);
+  garbage.insert(garbage.end(), sealed_vlog.begin(), sealed_vlog.end());
+  const std::vector<ClusterId> run = ks->run.Clusters();
+  const std::set<ClusterId> kept(run.begin(), run.end());
+  for (ClusterId id : next.Clusters()) {
+    if (!kept.contains(id)) garbage.push_back(id);
+  }
+  co_return garbage;
 }
 
 sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
@@ -1099,18 +1226,11 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   // first suspension: from here no command can find — let alone pin — the
   // dying keyspace, so freeing it is safe.
   const std::uint64_t id = ks->id;
-  std::vector<ClusterId> doomed;
-  auto take = [&doomed](std::vector<ClusterId>* chain) {
-    doomed.insert(doomed.end(), chain->begin(), chain->end());
-    chain->clear();
-  };
-  take(&ks->klog_clusters);
-  take(&ks->vlog_clusters);
-  take(&ks->pidx_clusters);
-  take(&ks->sorted_value_clusters);
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    take(&sidx.sidx_clusters);
-  }
+  std::vector<ClusterId> doomed = std::move(ks->klog_clusters);
+  doomed.insert(doomed.end(), ks->vlog_clusters.begin(),
+                ks->vlog_clusters.end());
+  const std::vector<ClusterId> run = ks->run.Clusters();
+  doomed.insert(doomed.end(), run.begin(), run.end());
   KVCSD_CO_RETURN_IF_ERROR(keyspace_manager_.Erase(id));  // frees *ks
   index_cache_.EraseKeyspace(id);
   runtimes_.erase(id);

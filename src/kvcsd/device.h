@@ -12,7 +12,8 @@
 //     COMPACT       -> asynchronous on-device external merge sort: keys
 //                      first, then values; produces PIDX +
 //                      SORTED_VALUES and the in-memory pivot sketch
-//     SIDX BUILD    -> full scan + extract + external sort -> SIDX blocks
+//     SIDX BUILD    -> asynchronous too: full scan + extract + external
+//                      sort -> SIDX blocks
 //     QUERIES       -> sketch -> 4 KB index blocks -> value gather; only
 //                      results cross PCIe back to the host
 //
@@ -208,7 +209,8 @@ class Device {
   // Returns to zero once the queue drains — including across a power
   // cycle, where the powered-off fast path completes stragglers.
   std::uint64_t inflight_commands() const { return inflight_commands_; }
-  // Compactions started (kCompact spawn) and not yet finished.
+  // Keyspace jobs (compactions, folds, index builds) started and not yet
+  // finished.
   std::uint64_t compactions_running() const { return compactions_running_; }
 
   // --- in-band telemetry (DESIGN.md §14) ---
@@ -284,7 +286,7 @@ class Device {
   // reached twice delta_fold_watermark_bytes — its DRAM bound.
   Status CheckMutable(Keyspace* ks) const;
   // Records one mutation in the COMPACTED delta index (newest wins) and
-  // refreshes num_kvs from run_entries + delta_live.
+  // refreshes num_kvs from run.entries + delta_live.
   void ApplyDeltaMutation(Keyspace* ks, const std::string& key,
                           std::string value, std::uint64_t seq,
                           bool tombstone);
@@ -302,30 +304,53 @@ class Device {
   // between the drain and what the caller does next.
   sim::Task<Status> DrainWrites(Keyspace* ks, bool keep_lock = false);
 
-  // --- background jobs: compaction and delta fold ---
-  // A job is a full compaction (kCompacting, from EMPTY/WRITABLE) or a
-  // delta fold (kRecompacting, from COMPACTED). Both are deferred and
-  // offloaded (paper §V "Compaction"): the command asking for one
-  // completes at once and the host awaits the outcome with kCompactWait.
-  //
-  // Starts a job: moves the keyspace to `state`, pins it (a drop defers
-  // until the job ends), resets the completion event, opens the flow hop
-  // from the trigger command when `trigger_cmd_id` != 0, and spawns
-  // RunJob.
-  void LaunchJob(Keyspace* ks, KeyspaceState state,
-                 std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
+  // --- keyspace jobs: compaction, delta fold, secondary-index build ---
+  // At most one job runs per keyspace. A full compaction (kCompacting,
+  // from EMPTY/WRITABLE) and a delta fold (kRecompacting, from COMPACTED)
+  // are deferred and offloaded (paper §V "Compaction"): the command
+  // asking for one completes at once and the host awaits the outcome
+  // with kCompactWait. An index build leaves the keyspace COMPACTED; its
+  // kSecondaryBuild command waits for the job itself.
+  enum class JobKind : std::uint8_t { kCompaction, kFold, kIndexBuild };
+  // Starts a job: moves the keyspace to kCompacting or kRecompacting (an
+  // index build keeps it COMPACTED), pins it (a drop defers until the job
+  // ends), resets the completion event, opens the flow hop from the
+  // trigger command when `trigger_cmd_id` != 0, and spawns RunJob.
+  // `specs` are the fused indexes of a compaction, or the one index to
+  // build.
+  void LaunchJob(Keyspace* ks, JobKind job,
+                 std::vector<nvme::SecondaryIndexSpec> specs = {},
                  std::uint64_t trigger_cmd_id = 0);
-  // Runs RunCompaction or RunRecompaction inside the job's trace span. On
-  // failure it releases the body's scratch clusters (best-effort — after
-  // a power cut recovery reclaims the orphans instead), rolls the state
-  // back (EMPTY/WRITABLE after a compaction; COMPACTED after a fold, with
-  // the sealed delta chains put back in front of the live ones), persists
-  // the rollback and reports the failure.
-  // Then it records last_compaction, sets the completion event — a waiter
-  // never hangs on a failed job — and unpins.
-  sim::Task<void> RunJob(Keyspace* ks, bool fold,
-                         std::vector<nvme::SecondaryIndexSpec> fused_specs,
+  // Runs the job body inside the job's trace span. On failure it releases
+  // the body's scratch clusters (best-effort — after a power cut recovery
+  // reclaims the orphans instead), puts the sealed chains back in front
+  // of the live ones, rolls the state back (EMPTY/WRITABLE after a
+  // compaction; COMPACTED after a fold), persists the rollback and
+  // reports the failure. Then it records last_compaction, sets the
+  // completion event — a waiter never hangs on a failed job — and unpins.
+  sim::Task<void> RunJob(Keyspace* ks, JobKind job,
+                         std::vector<nvme::SecondaryIndexSpec> specs,
                          std::uint64_t trigger_cmd_id);
+  // The one seal: under the write lock, flushes the buffered tail and
+  // waits for every flush in flight (DrainWrites), then moves the live
+  // log chains and their byte counts into the sealed generation. Returns
+  // the seal sequence (next_seq at the seal) with the write lock still
+  // held; the caller releases it once it has taken what it needs.
+  sim::Task<Result<std::uint64_t>> SealLogs(Keyspace* ks);
+  // The one commit of every job. Closes the commit gate and drains the
+  // readers, opens the table's commit window, swaps `next` in for the run
+  // layout and clears the sealed chains, and persists. A failed persist
+  // swaps the old layout and the sealed chains back (the state returns to
+  // the job's, for RunJob to roll back). Once the persist succeeded, the
+  // delta entries below `seal_seq` — the sealed generation, now in the
+  // run — are dropped and num_kvs is refreshed. Either way the index
+  // cache forgets the keyspace's old blocks, the window closes and the
+  // gate reopens. Returns what the commit made garbage: the sealed
+  // chains, then every old-layout cluster `next` no longer references.
+  sim::Task<Result<std::vector<ClusterId>>> CommitRun(Keyspace* ks,
+                                                      JobKind job,
+                                                      RunLayout next,
+                                                      std::uint64_t seal_seq);
 
   // --- compaction (compactor.cc) ---
   // Sorts the keyspace; when `fused_specs` is non-empty, also builds those
@@ -338,8 +363,7 @@ class Device {
   // extraction of one value batch overlaps the gather/write of the next.
   //
   // The compaction job body. `scratch` collects every cluster the
-  // compaction allocates, for RunJob to release on failure; on success
-  // the commit point clears it.
+  // compaction allocates, for RunJob to release on failure.
   sim::Task<Status> RunCompaction(Keyspace* ks,
                                   std::vector<nvme::SecondaryIndexSpec>
                                       fused_specs,
@@ -347,11 +371,13 @@ class Device {
 
   // Phase 1 worker: streams one KLOG zone in bounded chunks, accumulates
   // entries up to `run_budget` bytes, and spills sorted runs to TEMP
-  // clusters owned by *out. Independent per zone, safe to fan out.
+  // clusters owned by *out (and listed in *scratch). Independent per
+  // zone, safe to fan out.
   struct RunGenOutput;
   sim::Task<Status> GenerateZoneRuns(std::uint32_t zone,
                                      std::uint64_t run_budget,
-                                     RunGenOutput* out);
+                                     RunGenOutput* out,
+                                     std::vector<ClusterId>* scratch);
 
   // Phase 2 consumer stage: pops gathered value batches off a bounded
   // channel and builds PIDX blocks plus fused secondary-key tuples while
@@ -360,10 +386,62 @@ class Device {
   struct PidxPipeline;
   sim::Task<Status> IndexBuildStage(PidxPipeline* pipe);
 
+  // Appends `values` in order to `chain` in output_batch_bytes appends (a
+  // value never straddles two) and sets (*addrs)[i] to value i's new
+  // address. The one sorted-value writer: compaction's batches and a
+  // fold's delta values both go out through it.
+  sim::Task<Status> WriteSortedValues(std::vector<ClusterId>* chain,
+                                      const std::vector<std::string>& values,
+                                      std::vector<std::uint64_t>* addrs,
+                                      sim::Activity act,
+                                      std::vector<ClusterId>* scratch);
+
+  // The one index-block writer, for one PIDX or SIDX chain (compactor.cc):
+  // packs entries into index blocks, batches closed blocks into
+  // output_batch_bytes appends, and pushes each block's sketch entry as
+  // the block opens — its address is patched once the append holding it
+  // lands, so a fold can push retained sketch entries in between. Every
+  // cluster it allocates joins `scratch`. Callers Flush() whenever
+  // batch_full(), then once at the end; a fold also closes the open block
+  // at the end of every rebuilt group (a group never shares a block with
+  // its neighbour).
+  class IndexBlockWriter {
+   public:
+    IndexBlockWriter(Device* device, std::vector<ClusterId>* chain,
+                     ZoneType type, std::vector<SketchEntry>* sketch,
+                     sim::Activity act, std::vector<ClusterId>* scratch);
+    // The open block, with room for one more entry of `entry_size` bytes
+    // (the caller serializes it there): the current block is closed first
+    // when the entry does not fit, and `pivot` names a freshly opened one.
+    std::string* Entry(std::size_t entry_size, const std::string& pivot);
+    void CloseBlock();
+    bool batch_full() const {
+      return batch_.size() >= device_->config_.output_batch_bytes;
+    }
+    // Appends the closed blocks as one write and patches their addresses.
+    sim::Task<Status> Flush();
+
+   private:
+    Device* device_;
+    std::vector<ClusterId>* chain_;
+    ZoneType type_;
+    std::vector<SketchEntry>* sketch_;
+    sim::Activity act_;
+    std::vector<ClusterId>* scratch_;
+    const std::uint32_t block_size_;
+    std::string block_;
+    std::uint16_t count_ = 0;
+    std::size_t open_slot_ = 0;  // sketch index of the open block
+    std::string batch_;          // closed blocks awaiting their append
+    std::vector<std::size_t> batch_slots_;
+  };
+
   // --- secondary index (compactor.cc) ---
-  // External sort state for <skey, pkey, value pointer> tuples.
+  // External sort state for <skey, pkey, value pointer> tuples. Spilled
+  // TEMP clusters are also listed in the job's `scratch`.
   struct SidxSortState {
     std::vector<ClusterId> temp_clusters;
+    std::vector<ClusterId>* scratch = nullptr;
     std::vector<SpilledRun> runs;
     std::vector<SidxTuple> current;
     std::uint64_t current_bytes = 0;
@@ -371,18 +449,19 @@ class Device {
   };
   sim::Task<Status> SidxAdd(SidxSortState* state, SidxTuple tuple);
   sim::Task<Status> SidxSpill(SidxSortState* state);
-  // Merges the spilled runs into SIDX blocks + sketch, building in place
-  // in *out so the caller can release partially written clusters on
-  // failure. Releases the state's TEMP clusters on success.
+  // Merges the spilled runs into SIDX blocks + sketch in *out, whose
+  // clusters join the state's scratch list. Releases the state's TEMP
+  // clusters on success.
   sim::Task<Status> SidxMergeToBlocks(SidxSortState* state,
                                       const nvme::SecondaryIndexSpec& spec,
                                       SecondaryIndex* out);
 
+  // The index-build job body (the paper's implemented design): a full
+  // scan of the COMPACTED run, extract, external sort, then the commit.
+  // `scratch` as for RunCompaction.
   sim::Task<Status> BuildSecondaryIndex(Keyspace* ks,
-                                        const nvme::SecondaryIndexSpec& spec);
-  sim::Task<Status> BuildSecondaryIndexInner(
-      Keyspace* ks, const nvme::SecondaryIndexSpec& spec,
-      SidxSortState* state, SecondaryIndex* out);
+                                        const nvme::SecondaryIndexSpec& spec,
+                                        std::vector<ClusterId>* scratch);
 
   // --- incremental re-compaction (recompact.cc) ---
   // Folds a COMPACTED keyspace's delta into the existing sorted run:
@@ -405,14 +484,12 @@ class Device {
   // a query only waits while a fold's commit gate is closed. Each wait is
   // recorded in "device.recompact.gate_ns".
   sim::Task<Status> AwaitQueryable(Keyspace* ks);
-  // Packs a fold's rebuilt index blocks into batched appends (recompact.cc).
-  class FoldBlockWriter;
 
   // --- explicit persistence ---
   // Drains the write buffer and persists the table. Ok at once during the
-  // first compaction (it drained the logs and bounces writes); during a
-  // fold the snapshot lists the sealed and live chains, and inside a
-  // fold's commit window Persist waits for the commit to finish first.
+  // first compaction (it sealed the logs and bounces writes); during a
+  // fold the snapshot lists the sealed and live chains, and inside any
+  // job's commit window Persist waits for the commit to finish first.
   sim::Task<Status> DoSync(Keyspace* ks);
 
   // --- queries (query.cc) ---
@@ -520,6 +597,11 @@ class Device {
   // Releases every cluster in `ids`; a failure (NotFound after a double
   // release, I/O errors after a power cut) is only recorded as a warning.
   sim::Task<void> ReleaseClustersBestEffort(std::vector<ClusterId> ids);
+  // Releases clusters a job is done with before its commit (TEMP runs)
+  // and takes them off the job's scratch list, so a later failure of the
+  // job does not release them a second time.
+  sim::Task<void> ReleaseScratch(std::vector<ClusterId> ids,
+                                 std::vector<ClusterId>* scratch);
 
   // --- background failures, which no command answers for ---
   // A warn breadcrumb in the flight recorder when `s` is not Ok.
@@ -562,13 +644,13 @@ class Device {
     // sets it once the job — a failed one's rollback included — is over.
     // kCompactWait waits here.
     sim::Event job_done;
-    // Set when the keyspace's active_readers count drops to zero; a
-    // fold's commit waits on it (recompact.cc).
+    // Set when the keyspace's active_readers count drops to zero; a job's
+    // commit waits on it (CommitRun).
     sim::Event readers_idle;
-    // Open (set) except while a fold commits: the fold closes it, drains
-    // active_readers, installs and persists the folded state (or rolls it
+    // Open (set) except while a job commits: CommitRun closes it, drains
+    // active_readers, installs and persists the new layout (or rolls it
     // back), then reopens it. Queries wait on it in AwaitQueryable; writes
-    // never do — they land in the live delta generation, which the commit
+    // never do — they land in the live log generation, which the commit
     // leaves alone.
     sim::Event commit_gate;
   };

@@ -2,19 +2,24 @@
 //
 // A keyspace is a named container of key-value pairs with the lifecycle
 //   EMPTY -> WRITABLE -> COMPACTING -> COMPACTED <-> RECOMPACTING
-// Only COMPACTED (and RECOMPACTING) keyspaces are queryable; secondary
-// indexes attach only in the COMPACTED state. The keyspace table also
-// stores the per-block pivot "sketches" that primary and secondary
-// queries start from.
+// Only COMPACTED (and RECOMPACTING) keyspaces are queryable. The keyspace
+// table also stores the per-block pivot "sketches" that primary and
+// secondary queries start from.
 //
 // A COMPACTED keyspace stays mutable (DESIGN.md §12): PUT/DELETE traffic
 // lands in a fresh KLOG/VLOG *delta log* (reusing the klog/vlog chains,
 // empty right after compaction) with an in-DRAM per-key delta index for
 // merged reads. kCompact on a COMPACTED keyspace folds the delta back
 // into the sorted run incrementally (RECOMPACTING), rewriting only the
-// index blocks the delta touches. The fold seals the delta at its start
-// (the chains move to sealed_klog_clusters/sealed_vlog_clusters), so
-// writes keep landing in a second, live generation while it runs.
+// index blocks the delta touches.
+//
+// Compaction, fold and secondary-index build are the device's keyspace
+// jobs, one at a time per keyspace, and all take one path (DESIGN.md §7):
+// a compaction or fold seals the logs at its start (the chains move to
+// sealed_klog_clusters/sealed_vlog_clusters, so later writes land in a
+// fresh live generation), the job writes its output to fresh clusters
+// only, and one commit swaps the new RunLayout in for the old one. An
+// index build seals nothing and keeps the keyspace COMPACTED throughout.
 #pragma once
 
 #include <algorithm>
@@ -70,6 +75,42 @@ struct SecondaryIndex {
   std::uint64_t entries = 0;
 };
 
+// The sorted run of a COMPACTED keyspace: everything a job's commit swaps
+// in as one value and a failed commit swaps back out. Jobs build the next
+// layout in fresh clusters (a fold or index build starts from a copy of
+// the current one, retaining what it does not rewrite); queries read only
+// the installed one.
+struct RunLayout {
+  std::vector<ClusterId> pidx_clusters;
+  std::vector<ClusterId> sorted_value_clusters;
+  std::vector<SketchEntry> pidx_sketch;
+  // Serialized bloom filter over the primary keys (common/bloom.h format),
+  // built while compaction streams the merged keys through the index
+  // builder and persisted with the metadata snapshot so recovery restores
+  // it. Empty = no filter (bloom disabled at compaction time, or the
+  // keyspace is not COMPACTED); point lookups then probe flash directly.
+  std::string pidx_bloom;
+  std::map<std::string, SecondaryIndex> secondary_indexes;
+  // Live entries in the run (exact count produced by the last LWW-deduped
+  // compaction or fold; persisted). num_kvs for a COMPACTED keyspace is
+  // this plus the delta's live (non-tombstone) key count — an estimate,
+  // since a delta PUT may overwrite a run key.
+  std::uint64_t entries = 0;
+
+  // Every cluster the layout references: PIDX, sorted values, then each
+  // secondary index's SIDX chain in name order.
+  std::vector<ClusterId> Clusters() const {
+    std::vector<ClusterId> out = pidx_clusters;
+    out.insert(out.end(), sorted_value_clusters.begin(),
+               sorted_value_clusters.end());
+    for (const auto& [name, sidx] : secondary_indexes) {
+      out.insert(out.end(), sidx.sidx_clusters.begin(),
+                 sidx.sidx_clusters.end());
+    }
+    return out;
+  }
+};
+
 // Newest live mutation for one key of a COMPACTED keyspace's delta log.
 // The durable form is the KLOG/VLOG delta; this index is the DRAM view
 // merged reads consult first, rebuilt by delta replay after a power cut.
@@ -105,38 +146,22 @@ struct Keyspace {
   std::vector<ClusterId> vlog_clusters;
   std::uint64_t klog_bytes = 0;
   std::uint64_t vlog_bytes = 0;
-  // The delta generation a running fold sealed (DESIGN.md §12): its log
-  // chains, moved here at the fold's start. Empty outside a fold. The
-  // commit releases them; a failed fold puts them back in front of the
-  // live chains. Snapshots list sealed ++ live as one chain list, so the
-  // on-media format has no generations.
+  // The log generation a running compaction or fold sealed (DESIGN.md
+  // §7, §12): its chains, moved here at the job's start. Empty outside a
+  // job. The commit releases them; a failed job puts them back in front
+  // of the live chains. Snapshots list sealed ++ live as one chain list,
+  // so the on-media format has no generations.
   std::vector<ClusterId> sealed_klog_clusters;
   std::vector<ClusterId> sealed_vlog_clusters;
   std::uint64_t sealed_klog_bytes = 0;
   std::uint64_t sealed_vlog_bytes = 0;
 
   // COMPACTED-phase storage.
-  std::vector<ClusterId> pidx_clusters;
-  std::vector<ClusterId> sorted_value_clusters;
-  std::vector<SketchEntry> pidx_sketch;
-  // Serialized bloom filter over the primary keys (common/bloom.h format),
-  // built while compaction streams the merged keys through the index
-  // builder and persisted with the metadata snapshot so recovery restores
-  // it. Empty = no filter (bloom disabled at compaction time, or the
-  // keyspace is not COMPACTED); point lookups then probe flash directly.
-  std::string pidx_bloom;
+  RunLayout run;
 
-  std::map<std::string, SecondaryIndex> secondary_indexes;
-
-  // Live entries in the sorted run (exact count produced by the last
-  // LWW-deduped compaction; persisted). num_kvs for a COMPACTED keyspace
-  // is run_entries plus the delta's live (non-tombstone) key count — an
-  // estimate, since a delta PUT may overwrite a run key.
-  std::uint64_t run_entries = 0;
-
-  // Next mutation sequence. Must stay monotone across a fold's seal: the
-  // sealed and live generations share delta_index, and the commit drops
-  // exactly the entries below the seal's sequence. NOT persisted:
+  // Next mutation sequence. Must stay monotone across a seal: the sealed
+  // and live generations share delta_index, and the commit drops exactly
+  // the entries below the seal's sequence. NOT persisted:
   // recovery derives it as (max replayed seq + 1) over every chain the
   // snapshot lists, sealed ones included, so it restarts above every
   // sequence still on flash.
@@ -155,28 +180,30 @@ struct Keyspace {
   // trigger watermark folds. Not persisted.
   std::uint64_t delta_index_bytes = 0;
 
-  // Deletion requested while compaction/index build was running (paper:
+  // Deletion requested while a keyspace job was running (paper:
   // "deletion may be deferred due to on-going compaction"). Persisted in
   // the metadata snapshot before the drop is acknowledged, so recovery
   // completes a deferred drop a crash interrupted.
   bool pending_delete = false;
 
   // Pins on this keyspace: command handlers, detached log flushes and a
-  // running compaction or fold each hold one for their whole span, so a
+  // running keyspace job each hold one for their whole span, so a
   // concurrent drop cannot free it mid-await; DropKeyspace defers until
   // this drains.
   std::uint32_t inflight = 0;
 
   // Queries that passed AwaitQueryable and are reading the run, delta
-  // and sketches right now — during a fold, the pre-fold ones. A fold's
+  // and sketches right now — during a fold, the pre-fold ones. A job's
   // commit closes the keyspace's commit gate (new readers then wait in
   // AwaitQueryable) and waits for this to drain, so the cluster swap can
   // never happen under an in-flight scan. Not persisted.
   std::uint32_t active_readers = 0;
 
-  // Outcome of the most recent background compaction or fold, set before
-  // its completion event fires and returned by kCompactWait, so a failure
-  // that rolled the state back still reaches the host. Not persisted.
+  // Outcome of the most recent keyspace job (compaction, fold or index
+  // build), set before its completion event fires and returned by
+  // kCompactWait (and by the kSecondaryBuild that launched a build), so a
+  // failure that rolled the state back still reaches the host. Not
+  // persisted.
   Status last_compaction = Status::Ok();
 };
 

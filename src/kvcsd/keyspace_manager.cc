@@ -126,8 +126,8 @@ std::string KeyspaceManager::SerializeTable(std::uint64_t seq) const {
     body.push_back(ks->pending_delete ? 1 : 0);
     PutVarint64(&body, ks->num_kvs);
     // Exact live count of the sorted run; recovery re-derives num_kvs for
-    // COMPACTED keyspaces as run_entries + replayed delta live count.
-    PutVarint64(&body, ks->run_entries);
+    // COMPACTED keyspaces as run.entries + replayed delta live count.
+    PutVarint64(&body, ks->run.entries);
     PutString(&body, ks->min_key);
     PutString(&body, ks->max_key);
     // A running fold's sealed delta generation is written in front of the
@@ -136,14 +136,14 @@ std::string KeyspaceManager::SerializeTable(std::uint64_t seq) const {
     PutChain(&body, ks->sealed_vlog_clusters, ks->vlog_clusters);
     PutVarint64(&body, ks->sealed_klog_bytes + ks->klog_bytes);
     PutVarint64(&body, ks->sealed_vlog_bytes + ks->vlog_bytes);
-    PutClusterVec(&body, ks->pidx_clusters);
-    PutClusterVec(&body, ks->sorted_value_clusters);
-    PutSketch(&body, ks->pidx_sketch);
+    PutClusterVec(&body, ks->run.pidx_clusters);
+    PutClusterVec(&body, ks->run.sorted_value_clusters);
+    PutSketch(&body, ks->run.pidx_sketch);
     // The serialized bloom filter travels with the sketch it guards; a
     // few bits per key, dwarfed by the metadata zone (DESIGN.md §10).
-    PutString(&body, ks->pidx_bloom);
-    PutVarint64(&body, ks->secondary_indexes.size());
-    for (const auto& [name, sidx] : ks->secondary_indexes) {
+    PutString(&body, ks->run.pidx_bloom);
+    PutVarint64(&body, ks->run.secondary_indexes.size());
+    for (const auto& [name, sidx] : ks->run.secondary_indexes) {
       PutString(&body, sidx.spec.name);
       PutVarint32(&body, sidx.spec.value_offset);
       PutVarint32(&body, sidx.spec.value_length);
@@ -197,16 +197,16 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
       ok = false;
     }
     ok = ok && GetVarint64(&in, &ks->num_kvs) &&
-         GetVarint64(&in, &ks->run_entries) &&
+         GetVarint64(&in, &ks->run.entries) &&
          GetString(&in, &ks->min_key) && GetString(&in, &ks->max_key) &&
          GetClusterVec(&in, &ks->klog_clusters) &&
          GetClusterVec(&in, &ks->vlog_clusters) &&
          GetVarint64(&in, &ks->klog_bytes) &&
          GetVarint64(&in, &ks->vlog_bytes) &&
-         GetClusterVec(&in, &ks->pidx_clusters) &&
-         GetClusterVec(&in, &ks->sorted_value_clusters) &&
-         GetSketch(&in, &ks->pidx_sketch) &&
-         GetString(&in, &ks->pidx_bloom) && GetVarint64(&in, &sidx_count);
+         GetClusterVec(&in, &ks->run.pidx_clusters) &&
+         GetClusterVec(&in, &ks->run.sorted_value_clusters) &&
+         GetSketch(&in, &ks->run.pidx_sketch) &&
+         GetString(&in, &ks->run.pidx_bloom) && GetVarint64(&in, &sidx_count);
     if (!ok) return Status::Corruption("snapshot keyspace entry");
     for (std::uint64_t j = 0; j < sidx_count; ++j) {
       SecondaryIndex sidx;
@@ -222,7 +222,7 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
           !GetVarint64(&in, &sidx.entries)) {
         return Status::Corruption("snapshot sidx entry");
       }
-      ks->secondary_indexes[sidx.spec.name] = std::move(sidx);
+      ks->run.secondary_indexes[sidx.spec.name] = std::move(sidx);
     }
     by_name_[ks->name] = ks->id;
     by_id_[ks->id] = std::move(ks);

@@ -12,12 +12,13 @@
 // cannot lose the table — recovery scans both zones and loads the intact
 // snapshot with the highest sequence number.
 //
-// Commit window: between a fold's install and the end of its commit
-// persist (or its rollback), the in-memory table holds state that may
-// still be undone, so no other snapshot may capture it (DESIGN.md §12).
-// The fold opens the window with BeginCommit, persists with PersistCommit
-// and closes it with EndCommit; every other Persist — create, drop, sync,
-// other keyspaces' compactions and folds — waits until it is closed.
+// Commit window: between a keyspace job's install and the end of its
+// commit persist (or its rollback), the in-memory table holds state that
+// may still be undone, so no other snapshot may capture it (DESIGN.md §8,
+// §12). The one job commit (Device::CommitRun) opens the window with
+// BeginCommit, persists with PersistCommit and closes it with EndCommit;
+// every other Persist — create, drop, sync, other keyspaces' jobs — waits
+// until it is closed.
 #pragma once
 
 #include <cstdint>

@@ -316,10 +316,10 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   // Bloom first: a definite negative answers from DRAM alone, skipping
   // both the index-block read and the value gather.
   bool bloom_said_maybe = false;
-  if (!ks->pidx_bloom.empty()) {
+  if (!ks->run.pidx_bloom.empty()) {
     co_await cpu_.Compute(config_.costs.bloom_check,
                           sim::Activity::kHostRead);
-    if (!BloomFilterMayContain(Slice(ks->pidx_bloom), Slice(key))) {
+    if (!BloomFilterMayContain(Slice(ks->run.pidx_bloom), Slice(key))) {
       stats().counter("device.bloom.negative").Increment();
       span.Arg("src", "bloom_negative");
       co_return Status::NotFound();
@@ -327,13 +327,13 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
     bloom_said_maybe = true;
     stats().counter("device.bloom.maybe").Increment();
   }
-  const std::size_t pos = SketchLowerBlock(ks->pidx_sketch, key);
-  if (pos >= ks->pidx_sketch.size()) {
+  const std::size_t pos = SketchLowerBlock(ks->run.pidx_sketch, key);
+  if (pos >= ks->run.pidx_sketch.size()) {
     span.Arg("src", "miss");
     co_return Status::NotFound();
   }
 
-  auto block = co_await ReadIndexBlock(ks->id, ks->pidx_sketch[pos]);
+  auto block = co_await ReadIndexBlock(ks->id, ks->run.pidx_sketch[pos]);
   if (!block.ok()) co_return block.status();
   std::uint16_t count = 0;
   Slice in;
@@ -388,7 +388,7 @@ sim::Task<Status> Device::QueryPrimaryRange(
   // stream never reads past `hi`, so at most one read (a mid-block limit
   // cut) is wasted. Every error exit breaks to the drain below, since
   // detached reads write into the stream.
-  IndexBlockStream blocks(this, ks->id, ScanBlocks(ks->pidx_sketch, lo, hi),
+  IndexBlockStream blocks(this, ks->id, ScanBlocks(ks->run.pidx_sketch, lo, hi),
                          config_.index_prefetch ? 2 : 1, act);
   Status scan_status = Status::Ok();
   std::vector<std::pair<std::string, ValueRef>> matches;
@@ -510,8 +510,8 @@ sim::Task<Status> Device::QuerySecondaryRange(
     sim::Activity act) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
   ReaderGuard reader(ks, &Runtime(ks).readers_idle);
-  auto sidx_it = ks->secondary_indexes.find(index_name);
-  if (sidx_it == ks->secondary_indexes.end()) {
+  auto sidx_it = ks->run.secondary_indexes.find(index_name);
+  if (sidx_it == ks->run.secondary_indexes.end()) {
     co_return Status::NotFound("no such secondary index: " + index_name);
   }
   const SecondaryIndex& sidx = sidx_it->second;

@@ -26,35 +26,32 @@
 //
 // Fold I/O: the dirty blocks (PIDX) and every block (SIDX) are read
 // through an IndexBlockStream, gather_fanout reads in flight, and rebuilt
-// blocks go out through a FoldBlockWriter in output_batch_bytes appends
-// whose sketch addresses are patched as each append lands. Batching moves
-// no block boundary: each rebuilt group still starts a fresh block.
+// blocks go out through the one IndexBlockWriter in output_batch_bytes
+// appends whose sketch addresses are patched as each append lands.
+// Batching moves no block boundary: each rebuilt group still starts a
+// fresh block.
 //
-// Seal: under the write lock the fold drains the write buffer and every
-// flush in flight, records seal_seq = next_seq, moves the delta's log
-// chains into the keyspace's sealed generation and snapshots the delta
-// index as the fold's items. From then on writes land in fresh chains and
-// in the same delta index with seq >= seal_seq: an overwrite since the
-// seal already shadows its sealed entry, so reads need no second index.
+// Seal (SealLogs, shared with compaction): under the write lock the fold
+// drains the write buffer and every flush in flight, records seal_seq =
+// next_seq, moves the delta's log chains into the keyspace's sealed
+// generation and snapshots the delta index as the fold's items. From then
+// on writes land in fresh chains and in the same delta index with seq >=
+// seal_seq: an overwrite since the seal already shadows its sealed entry,
+// so reads need no second index.
 //
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED and replays
 // the sealed ++ live chains the snapshot lists; new clusters are
 // reclaimed as unreferenced). Until the commit the fold writes only fresh
 // clusters, so the pre-fold run and sketches stay fixed and queries keep
-// reading them. The commit closes the keyspace's commit gate (new queries
-// wait; writes do not), drains the in-flight readers, opens the table's
-// commit window (no other snapshot is serialized until it closes),
-// installs the mixed old + new sketch and persists it with one table
-// persist, then reopens the gate — only after the persist, or its
-// rollback, returned, so no reader ever sees a state that may still be
-// rolled back. The install swaps the run, sketches, bloom and sealed
-// chains only; once the persist succeeded the delta index drops the
-// entries below seal_seq, and the live generation stays pending. Past
-// that point the sealed logs and any old index cluster no retained block
-// references are released. A crash anywhere leaves either the old state
-// (both generations pending) or the new state (sealed generation folded)
-// — never a blend.
+// reading them. The fold then hands the mixed old + new layout to
+// CommitRun, the commit every keyspace job shares: it swaps the layout in
+// behind the closed commit gate and the table's commit window, persists,
+// drops the sealed generation's delta entries once the persist succeeded
+// (the live generation stays pending), and returns the sealed logs and
+// every old index cluster no retained block references, released here.
+// A crash anywhere leaves either the old state (both generations pending)
+// or the new state (sealed generation folded) — never a blend.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -118,86 +115,6 @@ std::vector<const SketchEntry*> Pointers(
 
 }  // namespace
 
-// The fold's output side for one index chain: packs entries into index
-// blocks, batches closed blocks into output_batch_bytes appends, and
-// pushes each block's sketch entry as the block opens — its address is
-// patched once the append holding it lands, so retained sketch entries
-// can be pushed in between. Callers close the open block at the end of
-// every rebuilt group (a group never shares a block with its neighbour)
-// and Flush() whenever batch_full(), then once at the end.
-class Device::FoldBlockWriter {
- public:
-  FoldBlockWriter(Device* device, std::vector<ClusterId>* chain, ZoneType type,
-                  std::vector<SketchEntry>* sketch,
-                  std::vector<ClusterId>* scratch)
-      : device_(device),
-        chain_(chain),
-        type_(type),
-        sketch_(sketch),
-        scratch_(scratch),
-        block_size_(device->config_.index_block_size) {
-    wire::BeginIndexBlock(&block_);
-    batch_.reserve(device->config_.output_batch_bytes);
-  }
-
-  // The open block, with room for one more entry of `entry_size` bytes
-  // (the caller serializes it there): the current block is closed first
-  // when the entry does not fit, and `pivot` names a freshly opened one.
-  std::string* Entry(std::size_t entry_size, const std::string& pivot) {
-    if (block_.size() + entry_size > block_size_) CloseBlock();
-    if (count_ == 0) {
-      open_slot_ = sketch_->size();
-      sketch_->push_back(SketchEntry{pivot, 0, block_size_});
-    }
-    ++count_;
-    return &block_;
-  }
-
-  void CloseBlock() {
-    if (count_ == 0) return;
-    wire::FinishIndexBlock(&block_, count_, block_size_);
-    batch_ += block_;
-    batch_slots_.push_back(open_slot_);
-    wire::BeginIndexBlock(&block_);
-    count_ = 0;
-  }
-
-  bool batch_full() const {
-    return batch_.size() >= device_->config_.output_batch_bytes;
-  }
-
-  // Appends the closed blocks as one write and patches their addresses.
-  sim::Task<Status> Flush() {
-    if (batch_.empty()) co_return Status::Ok();
-    co_await device_->cpu_.Compute(device_->config_.costs.io_path_overhead,
-                                   sim::Activity::kRecompact);
-    auto addr = co_await device_->AppendToChain(
-        chain_, type_, Slice(batch_).bytes(), sim::Activity::kRecompact,
-        scratch_);
-    if (!addr.ok()) co_return addr.status();
-    device_->compaction_stats_.bytes_written += batch_.size();
-    for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
-      (*sketch_)[batch_slots_[i]].block_addr = *addr + i * block_size_;
-    }
-    batch_.clear();
-    batch_slots_.clear();
-    co_return Status::Ok();
-  }
-
- private:
-  Device* device_;
-  std::vector<ClusterId>* chain_;
-  ZoneType type_;
-  std::vector<SketchEntry>* sketch_;
-  std::vector<ClusterId>* scratch_;
-  const std::uint32_t block_size_;
-  std::string block_;
-  std::uint16_t count_ = 0;
-  std::size_t open_slot_ = 0;  // sketch index of the open block
-  std::string batch_;          // closed blocks awaiting their append
-  std::vector<std::size_t> batch_slots_;
-};
-
 sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
                                                       sim::Activity act) {
   if (entry.has_value) co_return entry.value;
@@ -213,15 +130,12 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                           std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
   // ---- Seal the delta ----
-  // Drain the buffered tail and every flush in flight while holding the
-  // write lock (writes queue behind it meanwhile): the sealed generation
-  // must be the complete delta log the fold consumes, for recovery's sake.
-  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks, /*keep_lock=*/true));
-  const std::uint64_t seal_seq = ks->next_seq;
-  ks->sealed_klog_clusters = std::exchange(ks->klog_clusters, {});
-  ks->sealed_vlog_clusters = std::exchange(ks->vlog_clusters, {});
-  ks->sealed_klog_bytes = std::exchange(ks->klog_bytes, 0);
-  ks->sealed_vlog_bytes = std::exchange(ks->vlog_bytes, 0);
+  // Writes queue behind the write lock until the items are taken: the
+  // sealed generation must be the complete delta log the fold consumes,
+  // for recovery's sake.
+  auto sealed = co_await SealLogs(ks);
+  KVCSD_CO_RETURN_IF_ERROR(sealed.status());
+  const std::uint64_t seal_seq = *sealed;
   std::vector<FoldItem> items;
   items.reserve(ks->delta_index.size());
   // Values that only survive as VLOG pointers (post-restart entries) are
@@ -263,45 +177,31 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // ---- Re-append live delta values in key order to fresh clusters ----
   std::vector<ClusterId> new_value_clusters;
   {
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::vector<std::size_t> chunk_items;
-    auto flush_values = [&]() -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-      auto addr = co_await AppendToChain(&new_value_clusters,
-                                         ZoneType::kSortedValues,
-                                         Slice(chunk).bytes(),
-                                         sim::Activity::kRecompact, scratch);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      std::uint64_t offset = 0;
-      for (std::size_t idx : chunk_items) {
-        items[idx].new_addr = *addr + offset;
-        offset += items[idx].value.size();
-      }
-      chunk.clear();
-      chunk_items.clear();
-      co_return Status::Ok();
-    };
+    // The live values move out for the write and back after it.
+    std::vector<std::string> values;
+    std::vector<std::size_t> value_items;
     std::uint64_t value_bytes = 0;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (items[i].tombstone) continue;
-      if (chunk.size() + items[i].value.size() > config_.output_batch_bytes &&
-          !chunk.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_values());
-      }
-      chunk += items[i].value;
-      chunk_items.push_back(i);
       value_bytes += items[i].value.size();
+      values.push_back(std::move(items[i].value));
+      value_items.push_back(i);
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_values());
+    std::vector<std::uint64_t> addrs;
+    const Status written =
+        co_await WriteSortedValues(&new_value_clusters, values, &addrs,
+                                   sim::Activity::kRecompact, scratch);
+    for (std::size_t k = 0; k < value_items.size(); ++k) {
+      items[value_items[k]].value = std::move(values[k]);
+      items[value_items[k]].new_addr = addrs[k];
+    }
+    KVCSD_CO_RETURN_IF_ERROR(written);
     co_await cpu_.ComputeBytes(value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
   }
 
   // ---- PIDX fold: rebuild only the blocks the delta keys land in ----
-  const std::vector<SketchEntry>& old_sketch = ks->pidx_sketch;
+  const std::vector<SketchEntry>& old_sketch = ks->run.pidx_sketch;
   // Delta keys per covering block, in key order. A key preceding every
   // pivot folds into block 0 (its rebuild simply grows a smaller pivot);
   // with no run at all, everything lands in one from-scratch region.
@@ -323,8 +223,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::int64_t run_entries_delta = 0;
   std::uint64_t pidx_retained = 0;
   std::uint64_t pidx_rebuilt = 0;
-  FoldBlockWriter pidx_out(this, &new_pidx_clusters, ZoneType::kPidx,
-                           &new_sketch, scratch);
+  IndexBlockWriter pidx_out(this, &new_pidx_clusters, ZoneType::kPidx,
+                            &new_sketch, sim::Activity::kRecompact, scratch);
 
   // Two-pointer LWW merge of one dirty block with its delta keys.
   auto merge_block = [&](const std::vector<PidxRec>& old_recs,
@@ -430,11 +330,12 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::uint64_t sidx_retained_total = 0;
   std::uint64_t sidx_rebuilt_total = 0;
 
-  for (auto& [name, sidx] : ks->secondary_indexes) {
+  for (const auto& [name, sidx] : ks->run.secondary_indexes) {
     SidxFold& fold = sidx_folds[name];
     const std::vector<SketchEntry>& sketch = sidx.sketch;
-    FoldBlockWriter sidx_out(this, &fold.new_clusters, ZoneType::kSidx,
-                             &fold.new_sketch, scratch);
+    IndexBlockWriter sidx_out(this, &fold.new_clusters, ZoneType::kSidx,
+                              &fold.new_sketch, sim::Activity::kRecompact,
+                              scratch);
 
     // New tuples from the live delta values, sorted by (skey, pkey).
     std::vector<SidxTuple> fresh;
@@ -595,7 +496,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   }
 
   // ---- Bloom: fold the new keys into the serialized filter in place ----
-  std::string new_bloom = ks->pidx_bloom;
+  std::string new_bloom = ks->run.pidx_bloom;
   if (!new_bloom.empty()) {
     std::uint64_t bloom_key_bytes = 0;
     for (const FoldItem& item : items) {
@@ -610,142 +511,52 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   }
 
   // ---- Commit ----
-  // Close the gate, then drain the readers still in flight: the install
-  // below swaps clusters and sketches a running scan may be
-  // dereferencing. Queries arriving from here wait in AwaitQueryable
-  // until the persist or its rollback is done; writes keep landing in
-  // the live generation.
-  KeyspaceRuntime& rt = Runtime(ks);
-  sim::Event* gate = &rt.commit_gate;
-  gate->Reset();
-  while (ks->active_readers > 0) {
-    rt.readers_idle.Reset();
-    if (ks->active_readers == 0) break;
-    co_await rt.readers_idle.Wait();
-  }
-
-  if (CrashPoint("recompact.before_commit")) {
-    gate->Set();
-    co_return Status::IoError("simulated power loss before recompact commit");
-  }
-  // From the install until the commit persist or its rollback returns, no
-  // other snapshot may capture the table.
-  co_await keyspace_manager_.BeginCommit();
-
-  // Partition each old index chain into clusters a retained block still
-  // references (they stay in the keyspace) and dead ones (released past
-  // the commit point). A cluster is referenced iff one of its zones holds
-  // a retained block; new-cluster zones can never alias old ones.
+  // The next layout keeps each old index cluster a retained block still
+  // references (a cluster is referenced iff one of its zones holds a
+  // retained block; new-cluster zones can never alias old ones), then the
+  // fold's new clusters. The old sorted-value clusters all stay: retained
+  // and rebuilt blocks alike still point at unchanged run values.
   const std::uint64_t zone_size = ssd_.zone_size();
-  auto partition = [&](const std::vector<ClusterId>& old_chain,
-                       const std::vector<SketchEntry>& sketch,
-                       std::vector<ClusterId>* live,
-                       std::vector<ClusterId>* dead) {
+  auto chain = [&](const std::vector<ClusterId>& old_chain,
+                   const std::vector<SketchEntry>& sketch,
+                   const std::vector<ClusterId>& fresh) {
     std::set<std::uint64_t> zones;
     for (const SketchEntry& e : sketch) zones.insert(e.block_addr / zone_size);
+    std::vector<ClusterId> out;
     for (ClusterId id : old_chain) {
-      bool referenced = false;
       for (std::uint32_t z : zone_manager_.cluster_zones(id)) {
         if (zones.contains(z)) {
-          referenced = true;
+          out.push_back(id);
           break;
         }
       }
-      (referenced ? live : dead)->push_back(id);
     }
+    out.insert(out.end(), fresh.begin(), fresh.end());
+    return out;
   };
-
-  std::vector<ClusterId> pidx_live, pidx_dead;
-  partition(ks->pidx_clusters, new_sketch, &pidx_live, &pidx_dead);
-  std::map<std::string, std::pair<std::vector<ClusterId>,
-                                  std::vector<ClusterId>>> sidx_parts;
-  for (const auto& [name, sidx] : ks->secondary_indexes) {
-    auto& [live, dead] = sidx_parts[name];
-    partition(sidx.sidx_clusters, sidx_folds[name].new_sketch, &live, &dead);
-  }
-
-  // Save the old state for a symmetric un-install on persist failure. The
-  // live delta generation and the delta index are not part of the install.
-  std::vector<ClusterId> old_klog = std::move(ks->sealed_klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->sealed_vlog_clusters);
-  const std::uint64_t old_klog_bytes = std::exchange(ks->sealed_klog_bytes, 0);
-  const std::uint64_t old_vlog_bytes = std::exchange(ks->sealed_vlog_bytes, 0);
-  std::vector<ClusterId> old_pidx = std::move(ks->pidx_clusters);
-  std::vector<SketchEntry> old_pidx_sketch = std::move(ks->pidx_sketch);
-  std::string old_bloom = std::move(ks->pidx_bloom);
-  const std::uint64_t old_run_entries = ks->run_entries;
-  std::map<std::string, std::pair<std::vector<ClusterId>,
-                                  std::vector<SketchEntry>>> old_sidx;
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    old_sidx[name] = {std::move(sidx.sidx_clusters), std::move(sidx.sketch)};
-  }
-  const std::uint64_t old_value_count = ks->sorted_value_clusters.size();
-
-  // Install the folded state. The old sorted-value clusters all stay:
-  // retained and rebuilt blocks alike still point at unchanged run values.
-  ks->sealed_klog_clusters.clear();
-  ks->sealed_vlog_clusters.clear();
-  ks->pidx_clusters = pidx_live;
-  ks->pidx_clusters.insert(ks->pidx_clusters.end(), new_pidx_clusters.begin(),
-                           new_pidx_clusters.end());
-  ks->sorted_value_clusters.insert(ks->sorted_value_clusters.end(),
-                                   new_value_clusters.begin(),
-                                   new_value_clusters.end());
-  ks->pidx_sketch = std::move(new_sketch);
-  ks->pidx_bloom = std::move(new_bloom);
-  ks->run_entries = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
-  for (auto& [name, sidx] : ks->secondary_indexes) {
+  RunLayout next;
+  next.pidx_clusters =
+      chain(ks->run.pidx_clusters, new_sketch, new_pidx_clusters);
+  next.sorted_value_clusters = ks->run.sorted_value_clusters;
+  next.sorted_value_clusters.insert(next.sorted_value_clusters.end(),
+                                    new_value_clusters.begin(),
+                                    new_value_clusters.end());
+  next.pidx_sketch = std::move(new_sketch);
+  next.pidx_bloom = std::move(new_bloom);
+  next.entries = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(ks->run.entries) + run_entries_delta);
+  for (const auto& [name, sidx] : ks->run.secondary_indexes) {
     SidxFold& fold = sidx_folds[name];
-    sidx.sidx_clusters = sidx_parts[name].first;
-    sidx.sidx_clusters.insert(sidx.sidx_clusters.end(),
-                              fold.new_clusters.begin(),
-                              fold.new_clusters.end());
-    sidx.sketch = std::move(fold.new_sketch);
-    sidx.entries = fold.new_entries;
+    SecondaryIndex& folded = next.secondary_indexes[name];
+    folded.spec = sidx.spec;
+    folded.sidx_clusters =
+        chain(sidx.sidx_clusters, fold.new_sketch, fold.new_clusters);
+    folded.sketch = std::move(fold.new_sketch);
+    folded.entries = fold.new_entries;
   }
-  ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.PersistCommit();
-  if (!commit.ok()) {
-    ks->sealed_klog_clusters = std::move(old_klog);
-    ks->sealed_vlog_clusters = std::move(old_vlog);
-    ks->sealed_klog_bytes = old_klog_bytes;
-    ks->sealed_vlog_bytes = old_vlog_bytes;
-    ks->pidx_clusters = std::move(old_pidx);
-    ks->pidx_sketch = std::move(old_pidx_sketch);
-    ks->pidx_bloom = std::move(old_bloom);
-    ks->run_entries = old_run_entries;
-    ks->sorted_value_clusters.resize(old_value_count);
-    for (auto& [name, sidx] : ks->secondary_indexes) {
-      sidx.sidx_clusters = std::move(old_sidx[name].first);
-      sidx.sketch = std::move(old_sidx[name].second);
-    }
-    ks->state = KeyspaceState::kRecompacting;  // RunJob rolls back
-    keyspace_manager_.EndCommit();
-    gate->Set();  // readers resume on the restored pre-fold state
-    co_return commit;
-  }
-  // The sealed generation is in the run now: drop its entries. Entries
-  // written since the seal carry seq >= seal_seq and stay pending.
-  for (auto it = ks->delta_index.begin(); it != ks->delta_index.end();) {
-    const DeltaEntry& entry = it->second;
-    if (entry.seq >= seal_seq) {
-      ++it;
-      continue;
-    }
-    ks->delta_index_bytes -=
-        kDeltaEntryOverhead + it->first.size() + entry.value.size();
-    if (!entry.tombstone) --ks->delta_live;
-    it = ks->delta_index.erase(it);
-  }
-  ks->num_kvs = ks->run_entries + ks->delta_live;
-  ++compactions_done_;
-  scratch->clear();  // the outputs are now owned by the durable snapshot
-  // Retained blocks kept their addresses, but rebuilt and dead blocks
-  // must never be served from DRAM again; drop the keyspace's cache.
-  index_cache_.EraseKeyspace(ks->id);
-  keyspace_manager_.EndCommit();
-  gate->Set();
+  auto garbage =
+      co_await CommitRun(ks, JobKind::kFold, std::move(next), seal_seq);
+  KVCSD_CO_RETURN_IF_ERROR(garbage.status());
 
   stats().counter("device.recompact.done").Increment();
   stats().counter("device.recompact.delta_keys").Add(items.size());
@@ -764,12 +575,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // old index cluster with no retained block are garbage (a crash here
   // leaks them to recovery's unreferenced-cluster sweep).
   (void)CrashPoint("recompact.after_commit");
-  co_await ReleaseClustersBestEffort(std::move(old_klog));
-  co_await ReleaseClustersBestEffort(std::move(old_vlog));
-  co_await ReleaseClustersBestEffort(std::move(pidx_dead));
-  for (auto& [name, parts] : sidx_parts) {
-    co_await ReleaseClustersBestEffort(std::move(parts.second));
-  }
+  co_await ReleaseClustersBestEffort(std::move(*garbage));
   co_return Status::Ok();
 }
 

@@ -58,11 +58,6 @@ sim::Task<Status> TruncateZoneTail(storage::ZnsSsd* ssd, std::uint32_t zone,
   co_return Status::Ok();
 }
 
-void AppendAll(std::vector<ClusterId>* out,
-               const std::vector<ClusterId>& ids) {
-  out->insert(out->end(), ids.begin(), ids.end());
-}
-
 }  // namespace
 
 sim::Task<Status> Device::Recover() {
@@ -121,16 +116,9 @@ sim::Task<Status> Device::Recover() {
       continue;
     }
     if (ks->state != KeyspaceState::kCompacting) continue;
-    AppendAll(&doomed, ks->pidx_clusters);
-    AppendAll(&doomed, ks->sorted_value_clusters);
-    for (const auto& [name, sidx] : ks->secondary_indexes) {
-      AppendAll(&doomed, sidx.sidx_clusters);
-    }
-    ks->pidx_clusters.clear();
-    ks->sorted_value_clusters.clear();
-    ks->pidx_sketch.clear();
-    ks->pidx_bloom.clear();
-    ks->secondary_indexes.clear();
+    const std::vector<ClusterId> outputs = ks->run.Clusters();
+    doomed.insert(doomed.end(), outputs.begin(), outputs.end());
+    ks->run = RunLayout{};
     ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
                                           : KeyspaceState::kWritable;
     log.Warn("recovery", "rolled back uncommitted compaction on keyspace '" +
@@ -143,13 +131,8 @@ sim::Task<Status> Device::Recover() {
     const Keyspace* ks = ks_ptr.get();
     referenced.insert(ks->klog_clusters.begin(), ks->klog_clusters.end());
     referenced.insert(ks->vlog_clusters.begin(), ks->vlog_clusters.end());
-    referenced.insert(ks->pidx_clusters.begin(), ks->pidx_clusters.end());
-    referenced.insert(ks->sorted_value_clusters.begin(),
-                      ks->sorted_value_clusters.end());
-    for (const auto& [name, sidx] : ks->secondary_indexes) {
-      referenced.insert(sidx.sidx_clusters.begin(),
-                        sidx.sidx_clusters.end());
-    }
+    const std::vector<ClusterId> run = ks->run.Clusters();
+    referenced.insert(run.begin(), run.end());
   }
   for (const auto& [cluster, type] : zone_manager_.LiveClusters()) {
     if (!referenced.contains(cluster)) doomed.push_back(cluster);
@@ -204,7 +187,7 @@ sim::Task<Status> Device::Recover() {
       } else {
         ks->delta_index.clear();
         ks->delta_live = 0;
-        ks->num_kvs = ks->run_entries;
+        ks->num_kvs = ks->run.entries;
         ks->klog_bytes = 0;
         ks->vlog_bytes = 0;
       }
@@ -319,7 +302,7 @@ sim::Task<Status> Device::ReplayDeltaChains(Keyspace* ks) {
     }
   }
   ks->next_seq = max_seq + 1;
-  ks->num_kvs = ks->run_entries + ks->delta_live;
+  ks->num_kvs = ks->run.entries + ks->delta_live;
   // Rebuild the DRAM-footprint gauge to match the replayed index. No
   // inline values survive a power cut (only VLOG pointers), so the
   // footprint is node overhead + key bytes per entry.

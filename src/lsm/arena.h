@@ -25,6 +25,25 @@ class Arena {
     return AllocateNewBlock(bytes);
   }
 
+  // Like Allocate, but aligned for structs that hold pointers (skip-list
+  // nodes), as LevelDB's AllocateAligned: the bump pointer skips up to
+  // kAlign - 1 bytes of slop. Fresh blocks come from new[], so they are
+  // aligned already.
+  char* AllocateAligned(std::size_t bytes) {
+    constexpr std::size_t kAlign = sizeof(void*) > 8 ? sizeof(void*) : 8;
+    static_assert((kAlign & (kAlign - 1)) == 0, "alignment is a power of 2");
+    const std::size_t mod =
+        reinterpret_cast<std::uintptr_t>(ptr_) & (kAlign - 1);
+    const std::size_t slop = mod == 0 ? 0 : kAlign - mod;
+    if (bytes + slop <= remaining_) {
+      char* out = ptr_ + slop;
+      ptr_ += bytes + slop;
+      remaining_ -= bytes + slop;
+      return out;
+    }
+    return AllocateNewBlock(bytes);
+  }
+
   // Total heap memory reserved by the arena.
   std::size_t MemoryUsage() const { return memory_usage_; }
 

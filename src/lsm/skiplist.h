@@ -88,8 +88,8 @@ class SkipList {
   };
 
   Node* NewNode(const char* key, int node_height) {
-    char* mem = arena_->Allocate(sizeof(Node) +
-                                 sizeof(Node*) * (node_height - 1));
+    char* mem = arena_->AllocateAligned(sizeof(Node) +
+                                        sizeof(Node*) * (node_height - 1));
     Node* node = new (mem) Node;
     node->key = key;
     return node;

@@ -396,7 +396,7 @@ TEST(CsdTest, MetadataSurvivesPowerCycle) {
   Keyspace* ks = recovered.Find("durable").value();
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   EXPECT_EQ(ks->num_kvs, 1000u);
-  EXPECT_FALSE(ks->pidx_sketch.empty());
+  EXPECT_FALSE(ks->run.pidx_sketch.empty());
 }
 
 TEST(CsdTest, ConcurrentWritersOnSeparateKeyspaces) {

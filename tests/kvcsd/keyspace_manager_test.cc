@@ -58,10 +58,10 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
     ks->num_kvs = 12345;
     ks->min_key = "aaa";
     ks->max_key = "zzz";
-    ks->pidx_clusters = {7, 9};
-    ks->sorted_value_clusters = {11};
-    ks->pidx_sketch.push_back(SketchEntry{"aaa", 4096, 4096});
-    ks->pidx_sketch.push_back(SketchEntry{"mmm", 8192, 4096});
+    ks->run.pidx_clusters = {7, 9};
+    ks->run.sorted_value_clusters = {11};
+    ks->run.pidx_sketch.push_back(SketchEntry{"aaa", 4096, 4096});
+    ks->run.pidx_sketch.push_back(SketchEntry{"mmm", 8192, 4096});
     SecondaryIndex sidx;
     sidx.spec.name = "energy";
     sidx.spec.value_offset = 28;
@@ -70,7 +70,7 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
     sidx.sidx_clusters = {13};
     sidx.sketch.push_back(SketchEntry{"\x80\x00\x00\x01", 12288, 4096});
     sidx.entries = 12345;
-    ks->secondary_indexes["energy"] = sidx;
+    ks->run.secondary_indexes["energy"] = sidx;
     ks->pending_delete = true;  // deferred-drop tombstone round-trips
     ASSERT_TRUE(testutil::RunSim(sim, km.Persist()).ok());
   }
@@ -85,11 +85,11 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   EXPECT_EQ(ks->min_key, "aaa");
   EXPECT_EQ(ks->max_key, "zzz");
   EXPECT_TRUE(ks->pending_delete);
-  EXPECT_EQ(ks->pidx_clusters, (std::vector<ClusterId>{7, 9}));
-  ASSERT_EQ(ks->pidx_sketch.size(), 2u);
-  EXPECT_EQ(ks->pidx_sketch[1].pivot, "mmm");
-  ASSERT_TRUE(ks->secondary_indexes.contains("energy"));
-  const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
+  EXPECT_EQ(ks->run.pidx_clusters, (std::vector<ClusterId>{7, 9}));
+  ASSERT_EQ(ks->run.pidx_sketch.size(), 2u);
+  EXPECT_EQ(ks->run.pidx_sketch[1].pivot, "mmm");
+  ASSERT_TRUE(ks->run.secondary_indexes.contains("energy"));
+  const SecondaryIndex& sidx = ks->run.secondary_indexes.at("energy");
   EXPECT_EQ(sidx.spec.value_offset, 28u);
   EXPECT_EQ(sidx.spec.type, nvme::SecondaryKeyType::kF32);
   EXPECT_EQ(sidx.entries, 12345u);

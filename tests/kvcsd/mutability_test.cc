@@ -1625,57 +1625,265 @@ TEST(MutabilityTest, FoldBackpressureAtTwiceWatermark) {
 }
 
 // --------------------------------------------------------------------------
-// Fold commit races. (a) No other snapshot is serialized between a fold's
-// install and the end of its commit persist or rollback. (b) A stage that
+// Commit races. (a) No other snapshot is serialized between a job's
+// install and the end of its commit persist or rollback, whichever job it
+// is: compaction, index build or fold share one commit. (b) A stage that
 // fails midway releases the output clusters it already allocated.
 // --------------------------------------------------------------------------
 
-// The commit persist fails 200 us in; a CreateKeyspace lands in that
-// window, and the fold's rollback persist fails too. Had the create's
-// snapshot captured the install, recovery would load a table whose new
-// index clusters the rollback released, with the delta logs gone. It waits
-// for the window instead, so recovery rolls the fold back.
-TEST(MutabilityTest, SnapshotInCommitWindowWaitsForTheCommit) {
-  PowerCycleFixture f(SmallDevice());
-  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
-                             sim::Simulation* sim,
-                             sim::FaultInjector* fi) -> sim::Task<void> {
-    auto ks = co_await LoadWithScatteredDelta(db, "race");
+enum class Job { kCompaction, kIndexBuild, kFold };
+
+const char* JobName(Job job) {
+  switch (job) {
+    case Job::kCompaction:
+      return "compaction";
+    case Job::kIndexBuild:
+      return "index_build";
+    case Job::kFold:
+      return "fold";
+  }
+  return "unknown";
+}
+
+void PrintTo(Job job, std::ostream* os) { *os << JobName(job); }
+
+std::string JobParamName(const ::testing::TestParamInfo<Job>& info) {
+  return JobName(info.param);
+}
+
+// kLiveKeys energy-tagged keys, bulk-loaded and left WRITABLE.
+sim::Task<Result<client::KeyspaceHandle>> LoadWritable(client::Client* db,
+                                                      std::string name) {
+  auto ks = co_await db->CreateKeyspace(name);
+  if (!ks.ok()) co_return ks.status();
+  auto writer = ks->NewBulkWriter();
+  for (std::uint64_t i = 0; i < kLiveKeys; ++i) {
+    KVCSD_CO_RETURN_IF_ERROR(co_await writer.Add(
+        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await writer.Flush());
+  co_return std::move(*ks);
+}
+
+Model LoadedModel() {
+  Model model;
+  for (std::uint64_t i = 0; i < kLiveKeys; ++i) {
+    model[MakeFixedKey(i)] = CsdFixture::EnergyValue(static_cast<float>(i));
+  }
+  return model;
+}
+
+nvme::SecondaryIndexSpec EnergySpec() {
+  nvme::SecondaryIndexSpec energy;
+  energy.name = "energy";
+  energy.value_offset = 28;
+  energy.value_length = 4;
+  energy.type = nvme::SecondaryKeyType::kF32;
+  return energy;
+}
+
+// Waits until `job` on `ks` has installed its output and its commit
+// persist is in flight: the state reads COMPACTED again (compaction,
+// fold) or the new index is in the table (index build).
+sim::Task<void> AwaitJobCommitWindow(sim::Simulation* sim, const Keyspace* ks,
+                                     Job job) {
+  if (job == Job::kIndexBuild) {
+    while (!ks->run.secondary_indexes.contains("energy")) {
+      co_await sim->Delay(Microseconds(1));
+    }
+  } else {
+    co_await AwaitCommitWindow(sim, ks);
+  }
+}
+
+// A PUT and a Sync acked inside a compaction's or fold's commit window
+// survive the commit persist failing: the failed job puts the sealed logs
+// back in front of the live generation the PUT landed in, and the next job
+// folds it in.
+class CommitWindowTest : public ::testing::TestWithParam<Job> {};
+
+TEST_P(CommitWindowTest, WriteAckedInWindowSurvivesFailedCommit) {
+  sim::Simulation sim;
+  sim::FaultInjector faults{5};
+  DeviceConfig cfg = SmallDevice();
+  cfg.zns.faults = &faults;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  Device dev{&sim, cfg, &qp};
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+  dev.Start();
+  const Job job = GetParam();
+  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
+                           sim::Simulation* simp, sim::FaultInjector* fi,
+                           Job kind) -> sim::Task<void> {
+    auto ks = kind == Job::kCompaction ? co_await LoadWritable(dbp, "window")
+                                       : co_await LoadWithScatteredDelta(
+                                             dbp, "window");
     KVCSD_CO_ASSERT_OK(ks);
-    sim::ErrorRule commit;  // RECOMPACTING passes, the commit fails
+    Model model = kind == Job::kCompaction ? LoadedModel() : ScatteredModel();
+    sim::ErrorRule commit;  // the job-state persist passes, the commit fails
     commit.op = sim::FaultOp::kAppend;
-    commit.zone = dev->keyspaces().current_meta_zone();
+    commit.zone = devp->keyspaces().current_meta_zone();
     commit.skip = 1;
+    commit.times = 1;
     commit.latency = Microseconds(200);
     fi->AddErrorRule(commit);
-    sim::ErrorRule rollback = commit;  // sees RECOMPACTING and the create
-    rollback.skip = 2;
+
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    const Keyspace* meta = devp->keyspaces().Find("window").value();
+    const std::uint64_t done = devp->compactions_done();
+    co_await AwaitCommitWindow(simp, meta);
+    const std::string key = MakeFixedKey(kLiveKeys + 1);
+    model[key] = "in-window";
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(key, "in-window"));
+    KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+    KVCSD_CO_ASSERT(
+        (co_await ks->WaitCompaction()).code() == StatusCode::kIoError);
+    KVCSD_CO_ASSERT(fi->errors_injected() == 1);
+    KVCSD_CO_ASSERT(devp->compactions_done() == done);
+    // The failure dump shows the job's own releases only: no cluster the
+    // job had already released (its TEMP runs) is released twice.
+    KVCSD_CO_ASSERT(simp->flight().last_dump().find("no such cluster") ==
+                    std::string::npos);
+
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    auto got = co_await ks->Get(key);
+    KVCSD_CO_ASSERT_OK(got);
+    KVCSD_CO_ASSERT(*got == "in-window");
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(model)));
+  }(&db, &dev, &sim, &faults, job));
+}
+
+INSTANTIATE_TEST_SUITE_P(CommitWindow, CommitWindowTest,
+                         ::testing::Values(Job::kCompaction, Job::kFold),
+                         JobParamName);
+
+// The commit persist fails 200 us in; a CreateKeyspace lands in that
+// window, and the job's rollback persist fails too. Had the create's
+// snapshot captured the install, recovery would load a table whose new
+// index clusters the rollback released (with a compaction's or fold's
+// logs gone). It waits for the window instead, so recovery rolls the job
+// back.
+class CommitSnapshotTest : public ::testing::TestWithParam<Job> {};
+
+TEST_P(CommitSnapshotTest, SnapshotInCommitWindowWaitsForTheCommit) {
+  PowerCycleFixture f(SmallDevice());
+  const Job job = GetParam();
+  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
+                             sim::Simulation* sim, sim::FaultInjector* fi,
+                             Job kind) -> sim::Task<void> {
+    auto ks = kind == Job::kCompaction ? co_await LoadWritable(db, "race")
+                                       : co_await LoadWithScatteredDelta(
+                                             db, "race");
+    KVCSD_CO_ASSERT_OK(ks);
+    // A compaction or fold persists its job state first, then commits; an
+    // index build only commits.
+    const int job_persists = kind == Job::kIndexBuild ? 0 : 1;
+    sim::ErrorRule commit;
+    commit.op = sim::FaultOp::kAppend;
+    commit.zone = dev->keyspaces().current_meta_zone();
+    commit.skip = job_persists;
+    commit.latency = Microseconds(200);
+    fi->AddErrorRule(commit);
+    sim::ErrorRule rollback = commit;  // sees the job state and the create
+    rollback.skip = job_persists + 1;
     rollback.latency = 0;
     fi->AddErrorRule(rollback);
 
-    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
-    co_await AwaitCommitWindow(sim, dev->keyspaces().Find("race").value());
+    Status built = Status::Ok();
+    if (kind == Job::kIndexBuild) {
+      sim->Spawn([](client::KeyspaceHandle h, Status* out) -> sim::Task<void> {
+        *out = co_await h.CreateSecondaryIndex(EnergySpec());
+      }(*ks, &built));
+    } else {
+      KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    }
+    co_await AwaitJobCommitWindow(sim, dev->keyspaces().Find("race").value(),
+                                  kind);
     KVCSD_CO_ASSERT_OK(co_await db->CreateKeyspace("bystander"));
-    const Status folded = co_await ks->WaitCompaction();
-    KVCSD_CO_ASSERT(folded.code() == StatusCode::kIoError);
+    const Status finished = co_await ks->WaitCompaction();
+    KVCSD_CO_ASSERT(finished.code() == StatusCode::kIoError);
+    if (kind == Job::kIndexBuild) {
+      KVCSD_CO_ASSERT(built.code() == StatusCode::kIoError);
+    }
     KVCSD_CO_ASSERT(fi->errors_injected() == 2);
-  }(f.db.get(), f.dev(), &f.sim, &f.faults));
+  }(f.db.get(), f.dev(), &f.sim, &f.faults, job));
 
   f.faults.Crash();
   f.Restart();
   testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
   }(f.dev()));
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim, [](client::Client* db, Job kind) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await db->OpenKeyspace("bystander"));
     auto ks = co_await db->OpenKeyspace("race");
     KVCSD_CO_ASSERT_OK(ks);
+    if (kind == Job::kCompaction) {
+      // Rolled back to WRITABLE: compacting again yields every key.
+      KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+      KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    }
+    const Model model =
+        kind == Job::kCompaction ? LoadedModel() : ScatteredModel();
     std::vector<std::pair<std::string, std::string>> rows;
     KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
-    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(ScatteredModel())));
+    KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(RowsOf(model)));
+    if (kind == Job::kIndexBuild) {
+      KVCSD_CO_ASSERT_OK(co_await ks->CreateSecondaryIndex(EnergySpec()));
+    }
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(f.db.get()));
+  }(f.db.get(), job));
+}
+
+INSTANTIATE_TEST_SUITE_P(CommitWindow, CommitSnapshotTest,
+                         ::testing::Values(Job::kCompaction, Job::kIndexBuild,
+                                           Job::kFold),
+                         JobParamName);
+
+// An index build is a keyspace job, so a fold cannot start beside it: the
+// kCompact sent while the build runs is refused (or, were it queued,
+// serialized), and the index answers the merged run + delta view exactly.
+// Built beside a fold, the index would describe the pre-fold run: deleted
+// keys and stale values for every delta key.
+TEST(MutabilityTest, IndexBuildDuringFoldMatchesModel) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    auto ks = co_await LoadWithScatteredDelta(db, "sidx");
+    KVCSD_CO_ASSERT_OK(ks);
+    Status built = Status::Aborted("pending");
+    bool build_done = false;
+    sim->Spawn([](client::KeyspaceHandle h, Status* out,
+                  bool* done) -> sim::Task<void> {
+      *out = co_await h.CreateSecondaryIndexF32("energy", 28);
+      *done = true;
+    }(*ks, &built, &build_done));
+    co_await sim->Delay(Microseconds(50));  // the build is on the device
+    KVCSD_CO_ASSERT(!build_done);
+    const Status fold = co_await ks->Compact();
+    KVCSD_CO_ASSERT(fold.ok() ||
+                    fold.code() == StatusCode::kFailedPrecondition);
+    while (!build_done) co_await sim->Delay(Microseconds(10));
+    KVCSD_CO_ASSERT_OK(built);
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+
+    std::vector<std::pair<std::string, std::string>> hits;
+    KVCSD_CO_ASSERT_OK(
+        co_await ks->QuerySecondaryRangeF32("energy", -1.0f, 1e9f, 0, &hits));
+    const Model model = ScatteredModel();
+    std::uint64_t wrong = 0;
+    for (const auto& [key, value] : hits) {
+      auto it = model.find(key);
+      if (it == model.end() || it->second != value) ++wrong;
+    }
+    KVCSD_CO_ASSERT(hits.size() == RowsOf(model).size());
+    KVCSD_CO_ASSERT(hits.size() == 19459);
+    KVCSD_CO_ASSERT(wrong == 0);
+  }(&f.db, &f.sim));
 }
 
 // A delete-only delta writes no values, so the fold's appends are the

@@ -218,7 +218,7 @@ TEST(ReadPathTest, BloomFilterSurvivesPowerCycle) {
   PowerCycleFixture f;
   constexpr std::uint64_t kKeys = 600;
   testutil::RunSim(f.sim, LoadAndCompact(f.db.get(), "bf", kKeys));
-  ASSERT_FALSE(f.dev()->keyspaces().Find("bf").value()->pidx_bloom.empty());
+  ASSERT_FALSE(f.dev()->keyspaces().Find("bf").value()->run.pidx_bloom.empty());
 
   f.faults.Crash();
   f.Restart();
@@ -251,13 +251,13 @@ TEST(ReadPathTest, InjectedReadErrorCachedVsUncached) {
   testutil::RunSim(f.sim, LoadAndCompact(f.db.get(), "flt", kKeys));
 
   Keyspace* ks_meta = f.dev()->keyspaces().Find("flt").value();
-  ASSERT_GE(ks_meta->pidx_sketch.size(), 2u);
+  ASSERT_GE(ks_meta->run.pidx_sketch.size(), 2u);
   const std::uint64_t zone_size = f.dev()->ssd().zone_size();
   const std::string key_a = MakeFixedKey(0);  // lives in sketch block 0
   // A key in the LAST block, so its block is distinct from block 0.
   const std::string key_b = MakeFixedKey(kKeys - 1);
   const std::uint64_t block_b_zone =
-      ks_meta->pidx_sketch.back().block_addr / zone_size;
+      ks_meta->run.pidx_sketch.back().block_addr / zone_size;
 
   testutil::RunSim(f.sim, [](PowerCycleFixture* fx, std::string ka,
                              std::string kb,
@@ -299,7 +299,7 @@ TEST(ReadPathTest, TinyCacheEvictsWithinBudget) {
   cfg.index_cache_bytes = 2 * cfg.index_block_size;  // two blocks
   ReadPathFixture f(cfg);
   testutil::RunSim(f.sim, LoadAndCompact(&f.db, "tiny", 1200));
-  ASSERT_GE(f.dev.keyspaces().Find("tiny").value()->pidx_sketch.size(), 4u);
+  ASSERT_GE(f.dev.keyspaces().Find("tiny").value()->run.pidx_sketch.size(), 4u);
   testutil::RunSim(f.sim, [](ReadPathFixture* fx) -> sim::Task<void> {
     auto ks = co_await fx->db.OpenKeyspace("tiny");
     KVCSD_CO_ASSERT_OK(ks);
@@ -335,10 +335,10 @@ TEST(ReadPathTest, GatherValuesDedupesIdenticalRefs) {
   ReadPathFixture f;
   testutil::RunSim(f.sim, LoadAndCompact(&f.db, "gv", 400));
   Keyspace* ks = f.dev.keyspaces().Find("gv").value();
-  ASSERT_FALSE(ks->pidx_sketch.empty());
+  ASSERT_FALSE(ks->run.pidx_sketch.empty());
   // Any readable flash bytes do: the PIDX block itself gives known
   // (addr, len) extents.
-  const std::uint64_t base = ks->pidx_sketch[0].block_addr;
+  const std::uint64_t base = ks->run.pidx_sketch[0].block_addr;
 
   const std::uint64_t dups_before = f.Counter("device.gather.dup_refs");
   const std::uint64_t ranges_before = f.Counter("device.gather.ranges");

@@ -632,8 +632,9 @@ TEST(RecoveryTest, CorruptIndexBlockReturnsCorruption) {
 
   auto corrupt = f.dev()->keyspaces().Find("corrupt");
   ASSERT_TRUE(corrupt.ok());
-  ASSERT_FALSE((*corrupt)->pidx_sketch.empty());
-  (*corrupt)->pidx_sketch[0].block_len = 1;  // undersized: header is 2 bytes
+  ASSERT_FALSE((*corrupt)->run.pidx_sketch.empty());
+  // Undersized: the header alone is 2 bytes.
+  (*corrupt)->run.pidx_sketch[0].block_len = 1;
 
   testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("corrupt");
