@@ -10,8 +10,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::uint64_t keys = flags.GetUint("keys", 128 << 10);
   const auto threads = static_cast<std::uint32_t>(flags.GetUint("threads", 4));
-  ApplyObservabilityFlags(flags);
   JsonReporter report("ablate_bulkput", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   std::printf("Ablation: bulk vs regular PUT, %s keys, %u threads\n",
               FormatCount(keys).c_str(), threads);
 

@@ -22,9 +22,9 @@
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
-#include "harness/tracing.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--keys must be > 0\n");
     return 2;
   }
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("ablate_compact_cores", flags);
 
   std::printf(
@@ -153,6 +153,7 @@ int main(int argc, char** argv) {
   const std::uint32_t core_counts[] = {1, 2, 4, 8};
   for (std::uint32_t cores : core_counts) {
     TestbedConfig config = TestbedConfig::Scaled();
+    config.observability = observability;
     config.device.soc_cores = cores;
 
     CsdTestbed bed(config);

@@ -13,8 +13,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
@@ -23,7 +23,7 @@ using namespace kvcsd::harness;  // NOLINT
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::uint64_t keys = flags.GetUint("keys", 256 << 10);
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("ablate_dram", flags);
 
   std::printf("Ablation: SoC DRAM budget vs compaction cost (%s keys)\n",
@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t dram :
        {MiB(8), MiB(16), MiB(64), MiB(256)}) {
     TestbedConfig config = TestbedConfig::Scaled();
+    config.observability = observability;
     config.device.dram_bytes = dram;
 
     InsertSpec spec;

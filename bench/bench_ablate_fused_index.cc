@@ -14,9 +14,9 @@
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
-#include "harness/tracing.h"
 #include "sim/sync.h"
 #include "vpic/vpic.h"
 
@@ -31,9 +31,11 @@ struct Outcome {
   std::uint64_t zns_writes;
 };
 
-Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes) {
+Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes,
+            const ObservabilityOptions& observability) {
   TestbedConfig config = TestbedConfig::Scaled();
   config.device.dram_bytes = dram_bytes;
+  config.observability = observability;
   CsdTestbed bed(config);
   Outcome outcome{};
   bed.sim().Spawn([](CsdTestbed* tb, bool fuse,
@@ -76,7 +78,7 @@ Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::uint64_t keys = flags.GetUint("keys", 256 << 10);
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("ablate_fused_index", flags);
 
   std::printf(
@@ -87,8 +89,8 @@ int main(int argc, char** argv) {
               {"variant", "SoC DRAM", "total device time", "ZNS read",
                "ZNS written"});
   for (std::uint64_t dram : {MiB(256), MiB(16)}) {
-    Outcome separate = Run(false, keys, dram);
-    Outcome fused = Run(true, keys, dram);
+    Outcome separate = Run(false, keys, dram, observability);
+    Outcome fused = Run(true, keys, dram, observability);
     const std::string point = "dram" + std::to_string(dram >> 20);
     report.AddMetric("csd.separate." + point + ".keys_per_sec",
                      static_cast<double>(keys) * 1e9 /

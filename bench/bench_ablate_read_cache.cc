@@ -24,9 +24,9 @@
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
-#include "harness/tracing.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--keys and --gets must be > 0\n");
     return 2;
   }
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("ablate_read_cache", flags);
 
   std::printf(
@@ -175,6 +175,7 @@ int main(int argc, char** argv) {
   for (int c = 0; c < static_cast<int>(std::size(configs)); ++c) {
     const Config& cfg = configs[c];
     TestbedConfig config = TestbedConfig::Scaled();
+    config.observability = observability;
     config.device.index_cache_enabled = cfg.cache_bytes != 0;
     config.device.index_cache_bytes = cfg.cache_bytes;
     config.device.bloom_bits_per_key = cfg.bloom_bits;

@@ -13,8 +13,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       flags.GetUint("keys_per_thread", 64 << 10);
   const auto threads =
       static_cast<std::uint32_t>(flags.GetUint("threads", 8));
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("ablate_striping", flags);
 
   std::printf("Ablation: zone-cluster striping width, %u writers x %s keys\n",
@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   Tick baseline = 0;
   for (std::uint32_t width : {1u, 2u, 4u, 8u}) {
     TestbedConfig config = TestbedConfig::Scaled();
+    config.observability = observability;
     config.device.zones.zones_per_cluster = width;
 
     InsertSpec spec;

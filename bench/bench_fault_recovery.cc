@@ -12,7 +12,8 @@
 // keyspace count itself.
 //
 // Flags: --keys=N per keyspace (default 2000)
-//        --json=PATH (machine-readable report) --trace=PATH (span trace)
+//        --json=PATH, plus --trace/--telemetry/--health/--flight_*
+//        (harness/observability.h; health is the recovered device's)
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -22,8 +23,8 @@
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "hostenv/cost_model.h"
 #include "kvcsd/device.h"
 #include "nvme/queue.h"
@@ -96,12 +97,13 @@ sim::Task<void> Recover(device::Device* dev, client::Client* db,
   out->recover_ok = true;
 }
 
-RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
-                 bool compacted) {
+RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys, bool compacted,
+                 const ObservabilityOptions& observability) {
   sim::Simulation sim;
-  // This bench assembles its device by hand (no CsdTestbed), so request
-  // tracing explicitly; the dump covers both the load and the recovery.
-  TraceRequest::EnableOn(&sim);
+  // This bench assembles its device by hand (no CsdTestbed), so it
+  // attaches and dumps the observability outputs itself; they cover both
+  // the load and the recovery.
+  observability.Attach(&sim);
   sim::FaultInjector faults(keyspaces * 31 + (compacted ? 1 : 0));
   const device::DeviceConfig cfg = BenchConfig(&faults);
 
@@ -123,7 +125,7 @@ RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
   client::Client db2(&queue2, &host_cpu, hostenv::CostModel::Host());
   sim.Spawn(Recover(dev2.get(), &db2, &sim, keyspaces, &result));
   sim.Run();
-  TraceRequest::Dump(&sim);
+  observability.Dump(sim, {dev2.get()});
   return result;
 }
 
@@ -136,7 +138,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--keys must be > 0\n");
     return 2;
   }
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("fault_recovery", flags);
 
   std::printf(
@@ -151,7 +153,7 @@ int main(int argc, char** argv) {
   const std::uint32_t counts[] = {1, 2, 4, 8, 16};
   for (std::uint32_t k : counts) {
     for (bool compacted : {false, true}) {
-      RunResult r = RunOne(k, keys, compacted);
+      RunResult r = RunOne(k, keys, compacted, observability);
       if (!r.load_ok || !r.recover_ok ||
           r.recovered_kvs != static_cast<std::uint64_t>(k) * keys) {
         all_ok = false;

@@ -20,8 +20,8 @@
 #include "common/random.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 #include "sim/sync.h"
 
@@ -72,10 +72,10 @@ int main(int argc, char** argv) {
   const auto keyspaces =
       static_cast<std::uint32_t>(flags.GetUint("keyspaces", 32));
   const std::uint64_t seed = flags.GetUint("seed", 99);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("fig10_get", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   config.ScaleLsmTreeTo(keys_per_keyspace * (16 + 32));
   // RocksDB's default block cache is 8 MB per instance; scale it with the
   // dataset the same way the tree is scaled (paper: 256 MB cache for a

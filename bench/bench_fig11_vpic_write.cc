@@ -17,8 +17,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "vpic_common.h"
 
 using namespace kvcsd;           // NOLINT
@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
   gen.num_particles = flags.GetUint("particles", 2 << 20);
   gen.num_files = static_cast<std::uint32_t>(flags.GetUint("files", 16));
   gen.seed = flags.GetUint("seed", 2023);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("fig11_vpic_write", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   // Per-instance data: particles/files x (48 B particle + ~30 B aux pair).
   config.ScaleLsmTreeTo(gen.num_particles / gen.num_files * 78);
   std::printf("%s", config.Describe().c_str());

@@ -19,8 +19,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "sim/sync.h"
 #include "vpic_common.h"
 
@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
   gen.num_particles = flags.GetUint("particles", 2 << 20);
   gen.num_files = static_cast<std::uint32_t>(flags.GetUint("files", 16));
   gen.seed = flags.GetUint("seed", 2023);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("fig12_vpic_query", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   // Per-instance data: particles/files x (48 B particle + ~30 B aux pair).
   config.ScaleLsmTreeTo(gen.num_particles / gen.num_files * 78);
   // Block cache at the paper's cache:data ratio (~0.5%).

@@ -18,8 +18,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::uint64_t total_keys = flags.GetUint("keys", 1 << 20);
   const std::uint64_t seed = flags.GetUint("seed", 1);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("fig7_put_scaling", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   config.ScaleLsmTreeTo(total_keys * (16 + 32));
   std::printf("%s", config.Describe().c_str());
   std::printf("Workload: %s random 16B/32B pairs, single shared keyspace\n",

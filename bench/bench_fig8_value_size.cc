@@ -14,8 +14,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::uint64_t total_keys = flags.GetUint("keys", 64 << 10);
   const std::uint64_t seed = flags.GetUint("seed", 1);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("fig8_value_size", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   std::printf("%s", config.Describe().c_str());
   std::printf("Workload: %s keys, value size sweep, single keyspace\n",
               FormatCount(total_keys).c_str());

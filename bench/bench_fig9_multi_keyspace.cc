@@ -15,8 +15,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
@@ -27,10 +27,10 @@ int main(int argc, char** argv) {
   const std::uint64_t keys_per_thread =
       flags.GetUint("keys_per_thread", 64 << 10);
   const std::uint64_t seed = flags.GetUint("seed", 1);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("fig9_multi_keyspace", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   config.ScaleLsmTreeTo(keys_per_thread * (16 + 32));
   std::printf("%s", config.Describe().c_str());
   std::printf(

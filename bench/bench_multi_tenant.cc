@@ -30,9 +30,9 @@
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
-#include "harness/tracing.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
                  "--depth must be > 0\n");
     return 2;
   }
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("multi_tenant", flags);
 
   std::printf(
@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
 
   for (std::uint32_t queues : queue_counts) {
     TestbedConfig config = TestbedConfig::Scaled();
+    config.observability = observability;
     config.queues.num_queues = queues;
     config.queues.sq_depth_cap = static_cast<std::uint32_t>(depth);
 

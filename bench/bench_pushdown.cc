@@ -26,8 +26,8 @@
 
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
-#include "harness/tracing.h"
 #include "nvme/skey.h"
 #include "sim/sync.h"
 #include "vpic_common.h"
@@ -153,10 +153,10 @@ int main(int argc, char** argv) {
   gen.num_particles = flags.GetUint("particles", 1 << 20);
   gen.num_files = static_cast<std::uint32_t>(flags.GetUint("files", 16));
   gen.seed = flags.GetUint("seed", 2023);
-  ApplyObservabilityFlags(flags);
   JsonReporter report("pushdown", flags);
 
   TestbedConfig config = TestbedConfig::Scaled();
+  config.observability = ObservabilityOptions::FromFlags(flags);
   std::printf("%s", config.Describe().c_str());
   std::printf("Dataset: %s synthetic VPIC particles in %u files\n",
               FormatCount(gen.num_particles).c_str(), gen.num_files);

@@ -35,9 +35,9 @@
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 #include "harness/sharded_testbed.h"
-#include "harness/tracing.h"
 #include "nvme/skey.h"
 
 using namespace kvcsd;           // NOLINT
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
                  "--get_drivers and --get_depth must be > 0\n");
     return 2;
   }
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("shard_scaling", flags);
 
   std::printf(
@@ -316,6 +316,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t shards : shard_counts) {
     ShardedTestbedConfig config;
     config.num_shards = shards;
+    config.shard.observability = observability;
     config.shard.queues.sq_depth_cap =
         static_cast<std::uint32_t>(drivers * depth * batch);
 

@@ -34,9 +34,9 @@
 #include "common/random.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
-#include "harness/tracing.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
                  "depth_hi\n");
     return 2;
   }
-  ApplyObservabilityFlags(flags);
+  const auto observability = ObservabilityOptions::FromFlags(flags);
   JsonReporter report("ycsb", flags);
 
   std::printf(
@@ -266,6 +266,7 @@ int main(int argc, char** argv) {
   for (const MixSpec& mix : kMixes) {
     for (std::uint64_t depth : depths) {
       TestbedConfig config = TestbedConfig::Scaled();
+      config.observability = observability;
       config.queues.sq_depth_cap = static_cast<std::uint32_t>(depth + 1);
       CsdTestbed bed(config);
 

@@ -1,5 +1,6 @@
 #include "harness/json_report.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <charconv>
@@ -7,6 +8,7 @@
 #include <ctime>
 
 #include "harness/flags.h"
+#include "harness/observability.h"
 #include "harness/report.h"
 
 namespace kvcsd::harness {
@@ -380,12 +382,14 @@ Result<JsonValue> ParseJson(std::string_view text) {
 
 JsonReporter::JsonReporter(std::string bench, const Flags& flags)
     : bench_(std::move(bench)), json_path_(flags.GetString("json", "")) {
+  const auto& recording = ObservabilityOptions::kFlagNames;
   for (const auto& [name, value] : flags.values()) {
     // Output destinations are not workload parameters; keeping them out of
     // "args" lets the regression checker compare runs that differ only in
-    // where they dump their observability files.
-    if (name == "json" || name == "trace" || name == "telemetry" ||
-        name == "telemetry_interval_us") {
+    // what they record and where they dump it.
+    if (name == "json" ||
+        std::find(recording.begin(), recording.end(), name) !=
+            recording.end()) {
       continue;
     }
     args_.Set(name, JsonValue::Str(value));

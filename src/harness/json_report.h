@@ -101,8 +101,9 @@ class JsonReporter {
   static constexpr int kSchemaVersion = 1;
 
   // Captures the bench name, the parsed flags as the report's "args"
-  // (minus the output-path flags "json" and "trace", which differ between
-  // otherwise identical runs), and the --json path for WriteIfRequested.
+  // (minus "json" and ObservabilityOptions::kFlagNames, which differ
+  // between otherwise identical runs), and the --json path for
+  // WriteIfRequested.
   JsonReporter(std::string bench, const Flags& flags);
 
   void AddMetric(const std::string& name, std::uint64_t value);

@@ -17,7 +17,6 @@
 
 #include "client/client.h"
 #include "harness/testbed.h"
-#include "harness/tracing.h"
 #include "kvcsd/device.h"
 #include "nvme/queue.h"
 #include "router/sharded_client.h"
@@ -63,14 +62,13 @@ class ShardedTestbed {
     }
     router_ = std::make_unique<router::ShardedClient>(
         &sim_, std::move(clients), std::move(partitioner), config_.router);
-    TraceRequest::EnableOn(&sim_);
-    TelemetryRequest::EnableOn(&sim_);
-    FlightRequest::EnableOn(&sim_);
+    config_.shard.observability.Attach(&sim_);
     for (auto& shard : shards_) shard->device->Start();
   }
   ~ShardedTestbed() {
-    TraceRequest::Dump(&sim_);
-    TelemetryRequest::Dump(&sim_);
+    std::vector<const device::Device*> devices;
+    for (const auto& shard : shards_) devices.push_back(shard->device.get());
+    config_.shard.observability.Dump(sim_, devices);
   }
   ShardedTestbed(const ShardedTestbed&) = delete;
   ShardedTestbed& operator=(const ShardedTestbed&) = delete;

@@ -17,7 +17,7 @@
 #include <string>
 
 #include "client/client.h"
-#include "harness/tracing.h"
+#include "harness/observability.h"
 #include "hostenv/fs.h"
 #include "kvcsd/device.h"
 #include "lsm/db.h"
@@ -43,6 +43,10 @@ struct TestbedConfig {
 
   // --- RocksLite instance defaults ---
   lsm::DbOptions db_options;
+
+  // Traces, telemetry, health pages and flight-recorder options the
+  // testbed records and dumps (off by default; harness/observability.h).
+  ObservabilityOptions observability;
 
   // Scaled default: zone sizes and DRAM shrunk so multi-GiB experiments
   // are unnecessary; ratios (SoC:host core speed, PCIe:NAND bandwidth)
@@ -91,16 +95,10 @@ class CsdTestbed {
                   host_cores_override ? host_cores_override
                                       : config_.host_cores),
         client_(&queue_, &host_cpu_, config_.host_costs) {
-    TraceRequest::EnableOn(&sim_);
-    TelemetryRequest::EnableOn(&sim_);
-    FlightRequest::EnableOn(&sim_);
+    config_.observability.Attach(&sim_);
     device_.Start();
   }
-  ~CsdTestbed() {
-    HealthRequest::Dump(&device_);
-    TraceRequest::Dump(&sim_);
-    TelemetryRequest::Dump(&sim_);
-  }
+  ~CsdTestbed() { config_.observability.Dump(sim_, {&device_}); }
   CsdTestbed(const CsdTestbed&) = delete;
   CsdTestbed& operator=(const CsdTestbed&) = delete;
 
@@ -133,13 +131,9 @@ class LsmTestbed {
         fs_(&sim_, &host_cpu_, &ssd_, &page_cache_, config.host_costs),
         env_{&sim_, &fs_, &host_cpu_, config.host_costs, &sim_.stats()},
         block_cache_(config.block_cache_bytes) {
-    TraceRequest::EnableOn(&sim_);
-    TelemetryRequest::EnableOn(&sim_);
+    config_.observability.Attach(&sim_);
   }
-  ~LsmTestbed() {
-    TraceRequest::Dump(&sim_);
-    TelemetryRequest::Dump(&sim_);
-  }
+  ~LsmTestbed() { config_.observability.Dump(sim_, {}); }
   LsmTestbed(const LsmTestbed&) = delete;
   LsmTestbed& operator=(const LsmTestbed&) = delete;
 

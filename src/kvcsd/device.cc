@@ -206,7 +206,10 @@ std::string Device::HealthJson() const {
   for (const auto& [name, value] : page.gauges) {
     if (!first) json += ",";
     first = false;
-    json += "\n    \"" + name + "\": " + std::to_string(value);
+    json += "\n    \"";
+    sim::AppendJsonEscaped(&json, name);  // may embed host keyspace names
+    json += "\": ";
+    json += std::to_string(value);
   }
   if (!first) json += "\n  ";
   json += "}\n}\n";
@@ -526,27 +529,23 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       }
       break;
     case nvme::Opcode::kKvRetrieve: {
-      ++queries_;
       auto value = co_await QueryPoint(ks, cmd.key);
       out.status = value.status();
       if (value.ok()) out.value = std::move(*value);
       break;
     }
     case nvme::Opcode::kQueryPrimaryRange:
-      ++queries_;
       out.status = co_await QueryPrimaryRange(ks, cmd.key, cmd.key_end,
                                               cmd.limit, &out.results);
       out.count = out.results.size();
       break;
     case nvme::Opcode::kQuerySecondaryRange:
-      ++queries_;
       out.status = co_await QuerySecondaryRange(
           ks, cmd.sidx.name, cmd.key, cmd.key_end, cmd.limit, &out.results);
       out.count = out.results.size();
       break;
     case nvme::Opcode::kKvSelect:
     case nvme::Opcode::kKvAggregate:
-      ++queries_;
       out.status = co_await QueryPushdown(ks, cmd, &out);
       break;
     case nvme::Opcode::kKeyspaceStat:
@@ -911,7 +910,6 @@ sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
   co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
   WriteBuffer& buffer = rt.buffer;
   buffer.bytes += key.size() + value.size();
-  ++puts_;
   if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
   if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
   const std::uint64_t seq = ks->next_seq++;
@@ -1003,7 +1001,6 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
       break;
     }
     buffer.bytes += key.size() + value.size();
-    ++puts_;
     ++records_uncharged;
     if (ks->min_key.empty() || key.view() < ks->min_key) {
       ks->min_key = key.ToString();
@@ -1047,7 +1044,6 @@ sim::Task<Status> Device::FlushBuffer(Keyspace* ks) {
   KeyspaceRuntime& rt = Runtime(ks);
   if (rt.buffer.entries.empty()) co_return Status::Ok();
   WriteBuffer batch = std::exchange(rt.buffer, WriteBuffer{});
-  ++flushes_;
 
   co_await rt.flush_slots.Acquire();  // backpressure
   rt.flush_inflight.Add(1);

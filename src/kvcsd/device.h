@@ -199,10 +199,7 @@ class Device {
   sim::StatsView& stats();
   const sim::StatsView& stats() const;
 
-  std::uint64_t puts() const { return puts_; }
-  std::uint64_t flushes() const { return flushes_; }
   std::uint64_t compactions_done() const { return compactions_done_; }
-  std::uint64_t queries() const { return queries_; }
   const CompactionStats& compaction_stats() const { return compaction_stats_; }
 
   // Commands popped off the SQ whose handler coroutine has not finished.
@@ -694,10 +691,7 @@ class Device {
   // bytes, free/used zones per role, compaction progress.
   void CollectTelemetry(sim::TelemetrySampler::Gauges* out) const;
 
-  std::uint64_t puts_ = 0;
-  std::uint64_t flushes_ = 0;
   std::uint64_t compactions_done_ = 0;
-  std::uint64_t queries_ = 0;
   std::uint64_t inflight_commands_ = 0;
   std::uint64_t compactions_running_ = 0;
   CompactionStats compaction_stats_;

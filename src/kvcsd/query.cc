@@ -21,11 +21,13 @@
 // strictly newer than the run); range and secondary scans two-way merge
 // the sorted run with the key-ordered delta under last-writer-wins, with
 // tombstones suppressing run entries. An incremental re-compaction (fold)
-// writes only fresh clusters and refuses writes until its commit, so the
-// pre-fold run and delta stay fixed and queries keep reading them while
-// it runs. Queries wait in AwaitQueryable only while the fold's commit
-// gate is closed; every admitted query holds a reader count, which the
-// commit drains before it swaps the on-flash structures.
+// seals the delta at its start and writes only fresh clusters; writes
+// admitted while it runs join the same delta index as a newer generation,
+// so the pre-fold run stays fixed and queries keep reading it, merged
+// with the whole delta, until the commit. Queries wait in AwaitQueryable
+// only while the fold's commit gate is closed; every admitted query holds
+// a reader count, which the commit drains before it swaps the on-flash
+// structures.
 #include <algorithm>
 
 #include "common/bloom.h"

@@ -14,10 +14,10 @@ namespace {
 
 using Rows = ShardedKeyspaceHandle::Rows;
 
-Tick BackoffFor(const ShardedClientConfig& config, std::uint32_t attempt) {
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
-  const Tick backoff = config.retry_backoff_base << shift;
-  return std::min(backoff, config.retry_backoff_cap);
+bool IsBusy(const Status& s) { return s.IsBusy(); }
+template <typename T>
+bool IsBusy(const Result<T>& r) {
+  return !r.ok() && r.status().IsBusy();
 }
 
 // K-way merge of per-shard sorted streams via the device's loser tree.
@@ -184,6 +184,19 @@ ShardedClient::ShardedClient(sim::Simulation* sim,
                                          "busy.retries");
 }
 
+template <typename T, typename Op>
+sim::Task<T> ShardedClient::RetryBusy(std::uint32_t shard, Op op) {
+  const client::ClientConfig& backoff = shards_[shard]->config();
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    T out = co_await op();
+    if (!IsBusy(out) || attempt >= config_.busy_retry_attempts) co_return out;
+    busy_retries_->Increment();
+    const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
+    co_await sim_->Delay(std::min<Tick>(backoff.retry_backoff_base << shift,
+                                        backoff.retry_backoff_cap));
+  }
+}
+
 sim::Task<Result<ShardedKeyspaceHandle>> ShardedClient::CreateKeyspace(
     const std::string& name) {
   auto state = std::make_shared<ShardedKeyspaceHandle::State>();
@@ -263,15 +276,8 @@ sim::Task<Status> ShardedKeyspaceHandle::Put(const std::string& key,
   ShardedClient* r = router_;
   const std::uint32_t shard = ShardOf(key);
   r->shard_counters_[shard].puts->Increment();
-  std::uint32_t attempt = 0;
-  while (true) {
-    Status s = co_await state_->shards[shard].Put(key, value);
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) {
-      co_return s;
-    }
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  co_return co_await r->RetryBusy<Status>(
+      shard, [&] { return state_->shards[shard].Put(key, value); });
 }
 
 sim::Task<client::StatusFuture> ShardedKeyspaceHandle::PutAsync(
@@ -315,15 +321,8 @@ sim::Task<Status> ShardedKeyspaceHandle::Delete(const std::string& key) {
   ShardedClient* r = router_;
   const std::uint32_t shard = ShardOf(key);
   r->shard_counters_[shard].deletes->Increment();
-  std::uint32_t attempt = 0;
-  while (true) {
-    Status s = co_await state_->shards[shard].Delete(key);
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) {
-      co_return s;
-    }
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  co_return co_await r->RetryBusy<Status>(
+      shard, [&] { return state_->shards[shard].Delete(key); });
 }
 
 sim::Task<client::StatusFuture> ShardedKeyspaceHandle::DeleteAsync(
@@ -357,18 +356,9 @@ sim::Task<Status> ShardedKeyspaceHandle::CompactShard(
   ShardedClient* r = router_;
   co_await r->governor_.Acquire();
   client::KeyspaceHandle& ks = state_->shards[shard];
-  Status s = Status::Ok();
-  std::uint32_t attempt = 0;
-  while (true) {
-    if (specs.empty()) {
-      s = co_await ks.Compact();
-    } else {
-      s = co_await ks.CompactWithIndexes(specs);
-    }
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) break;
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  Status s = co_await r->RetryBusy<Status>(shard, [&] {
+    return specs.empty() ? ks.Compact() : ks.CompactWithIndexes(specs);
+  });
   // Hold the governor slot through the barrier: the slot models "this
   // shard's SoC is busy compacting", which is true until COMPACTED.
   if (s.ok()) s = co_await ks.WaitCompaction();
@@ -412,14 +402,8 @@ sim::Task<Status> ShardedKeyspaceHandle::BuildIndexShard(
   ShardedClient* r = router_;
   co_await r->governor_.Acquire();
   client::KeyspaceHandle& ks = state_->shards[shard];
-  Status s = Status::Ok();
-  std::uint32_t attempt = 0;
-  while (true) {
-    s = co_await ks.CreateSecondaryIndex(spec);
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) break;
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  Status s = co_await r->RetryBusy<Status>(
+      shard, [&] { return ks.CreateSecondaryIndex(spec); });
   r->governor_.Release();
   co_return s;
 }
@@ -452,16 +436,8 @@ sim::Task<Result<std::string>> ShardedKeyspaceHandle::Get(
   ShardedClient* r = router_;
   const std::uint32_t shard = ShardOf(key);
   r->shard_counters_[shard].gets->Increment();
-  std::uint32_t attempt = 0;
-  while (true) {
-    Result<std::string> res = co_await state_->shards[shard].Get(key);
-    if (res.ok() || !res.status().IsBusy() ||
-        attempt >= r->config_.busy_retry_attempts) {
-      co_return res;
-    }
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  co_return co_await r->RetryBusy<Result<std::string>>(
+      shard, [&] { return state_->shards[shard].Get(key); });
 }
 
 sim::Task<client::GetFuture> ShardedKeyspaceHandle::GetAsync(

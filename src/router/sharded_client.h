@@ -63,11 +63,10 @@ class CompactionGovernor {
 struct ShardedClientConfig {
   // Governor width: max shards compacting/index-building concurrently.
   std::uint32_t max_compacting_shards = 2;
-  // Routed sync writes retry kBusy (shard mid-compaction) this many
-  // times with exponential backoff before surfacing the error.
+  // Routed sync calls retry kBusy (shard mid-compaction) this many
+  // times before surfacing the error, backing off per the shard client's
+  // ClientConfig::retry_backoff_base/retry_backoff_cap.
   std::uint32_t busy_retry_attempts = 8;
-  Tick retry_backoff_base = Microseconds(50);
-  Tick retry_backoff_cap = Milliseconds(5);
   // Prefix for router stats ("router." -> router.scatter.scans).
   std::string stats_prefix = "router.";
 };
@@ -249,6 +248,12 @@ class ShardedClient {
 
  private:
   friend class ShardedKeyspaceHandle;
+
+  // Awaits `op()` (a sim::Task<T>, T a Status or Result) again while it
+  // returns kBusy, up to config_.busy_retry_attempts retries, backing off
+  // exponentially between attempts and counting each retry.
+  template <typename T, typename Op>
+  sim::Task<T> RetryBusy(std::uint32_t shard, Op op);
 
   // Per-shard routed-op counters, cached off the stats registry so the
   // hot path is pointer bumps ("router.shard0.puts", ...).

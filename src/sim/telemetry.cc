@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/tracer.h"
+
 namespace kvcsd::sim {
 
 void TelemetrySampler::Enable(Tick interval, std::size_t max_samples) {
@@ -78,7 +80,7 @@ std::string TelemetrySampler::ToJson() const {
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (i != 0) out += ",";
     out += "\"";
-    out += names_[i];  // gauge names are code constants, no escaping needed
+    AppendJsonEscaped(&out, names_[i]);  // may embed host keyspace names
     out += "\"";
   }
   out += "],\"samples\":[\n";

@@ -161,6 +161,20 @@ TEST(JsonReporterTest, DeterministicModuloWallClock) {
             std::string::npos);
 }
 
+// The observability flags say what a run records and where, not what it
+// runs: a baseline taken without them must gate a run given all of them.
+TEST(JsonReporterTest, ObservabilityFlagsStayOutOfArgs) {
+  JsonReporter plain("args", MakeFlags({"--keys=100", "--seed=7"}));
+  JsonReporter observed(
+      "args",
+      MakeFlags({"--keys=100", "--trace=out/t.json", "--telemetry=out/m.json",
+                 "--telemetry_interval_us=100", "--health=out/h.json",
+                 "--flight_dump=out/f", "--flight_slo_us=50", "--flight_busy",
+                 "--seed=7", "--json=out/r.json"}));
+  EXPECT_EQ(observed.ToJson(false), plain.ToJson(false));
+  EXPECT_NE(plain.ToJson(false).find("\"keys\":\"100\""), std::string::npos);
+}
+
 TEST(JsonReporterTest, WriteIfRequestedNeedsPath) {
   Flags flags = MakeFlags({"--keys=1"});
   JsonReporter report("no_path", flags);

@@ -14,6 +14,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "harness/json_report.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
 #include "sim/flight_recorder.h"
@@ -210,6 +211,32 @@ TEST(ObservabilityTest, TelemetryRingSaturatesCleanlyAcrossRestart) {
     if (id == util_id) ++occurrences;
   }
   EXPECT_EQ(occurrences, 1u);
+}
+
+// Keyspace names come from the host and are embedded in gauge names
+// ("device.ks.<name>.*"), so both JSON writers must escape them.
+TEST(ObservabilityTest, KeyspaceNamesAreEscapedInTelemetryAndHealthJson) {
+  Fixture f;
+  f.sim.telemetry().Enable(Microseconds(100));
+  const std::string name = "q\"u\\o";
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), name, 8));
+  const std::string state_gauge = "device.ks." + name + ".state";
+
+  auto telemetry = harness::ParseJson(f.sim.telemetry().ToJson());
+  ASSERT_TRUE(telemetry.ok()) << telemetry.status().ToString();
+  const harness::JsonValue* names = telemetry->Find("names");
+  ASSERT_NE(names, nullptr);
+  bool named = false;
+  for (const harness::JsonValue& n : names->elements()) {
+    if (n.string_value() == state_gauge) named = true;
+  }
+  EXPECT_TRUE(named);
+
+  auto health = harness::ParseJson(f.dev()->HealthJson());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  const harness::JsonValue* gauges = health->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_NE(gauges->Find(state_gauge), nullptr);
 }
 
 }  // namespace

@@ -426,5 +426,27 @@ TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
   }(&f));
 }
 
+// A device bounces writes to a keyspace in its first compaction with
+// kBusy; the routed sync Put backs off and retries until the compaction
+// is done, so the caller sees Ok.
+TEST(RouterTest, SyncPutRetriesBusyShardUntilCompactionEnds) {
+  ShardedFixture f(1);
+  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
+    auto ks = co_await fx->router().CreateKeyspace("busy");
+    KVCSD_CO_ASSERT_OK(ks);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), "v0"));
+    }
+    // The plain handle's Compact returns once the compaction started.
+    KVCSD_CO_ASSERT_OK(co_await ks->shard_handle(0).Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(7), "v1"));
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    auto value = co_await ks->Get(MakeFixedKey(7));
+    KVCSD_CO_ASSERT_OK(value);
+    KVCSD_CO_ASSERT(*value == "v1");
+  }(&f));
+  EXPECT_GT(f.sim.stats().counter_value("router.busy.retries"), 0u);
+}
+
 }  // namespace
 }  // namespace kvcsd::router
