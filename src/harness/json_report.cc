@@ -10,41 +10,17 @@
 #include "harness/flags.h"
 #include "harness/observability.h"
 #include "harness/report.h"
+#include "sim/tracer.h"
 
 namespace kvcsd::harness {
 
 namespace {
 
-void AppendEscaped(std::string* out, std::string_view s) {
+// A JSON string literal: the quotes plus the escaping the tracer, flight
+// recorder and telemetry writers share.
+void AppendString(std::string* out, std::string_view s) {
   *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
+  sim::AppendJsonEscaped(out, s);
   *out += '"';
 }
 
@@ -154,7 +130,7 @@ void JsonValue::AppendTo(std::string* out) const {
       AppendDouble(out, double_);
       break;
     case Kind::kString:
-      AppendEscaped(out, string_);
+      AppendString(out, string_);
       break;
     case Kind::kArray: {
       *out += '[';
@@ -173,7 +149,7 @@ void JsonValue::AppendTo(std::string* out) const {
       for (const auto& [k, v] : members_) {
         if (!first) *out += ',';
         first = false;
-        AppendEscaped(out, k);
+        AppendString(out, k);
         *out += ':';
         v.AppendTo(out);
       }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <utility>
 
 #include "harness/flags.h"
 #include "kvcsd/device.h"
@@ -66,7 +67,13 @@ ObservabilityOptions ObservabilityOptions::FromFlags(const Flags& flags) {
 void ObservabilityOptions::Attach(sim::Simulation* sim) const {
   if (!trace_path.empty()) sim->tracer().Enable();
   if (!telemetry_path.empty()) sim->telemetry().Enable(telemetry_interval);
-  sim->flight().set_options(flight);
+  // A simulation numbers its flight dumps by its own trip count, so each
+  // one gets its own base; otherwise a sweep's dumps overwrite each other.
+  sim::FlightRecorder::Options options = flight;
+  if (!options.dump_path.empty()) {
+    options.dump_path = NextDumpPath(options.dump_path);
+  }
+  sim->flight().set_options(std::move(options));
 }
 
 void ObservabilityOptions::Dump(

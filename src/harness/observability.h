@@ -18,7 +18,9 @@
 //
 // Benches that sweep a parameter build one testbed per point, so the
 // first dump to a path writes <path> and later ones <path>.1, <path>.2,
-// ...; a trace or telemetry series with no events writes no file. Feed
+// ...; a trace or telemetry series with no events writes no file. Flight
+// dumps are numbered the same way per simulation: the first one attached
+// writes <path>.<trip>.json, the next <path>.1.<trip>.json, and so on. Feed
 // the trace and telemetry files to tools/analyze_trace.py for the
 // latency breakdown.
 #pragma once
@@ -67,7 +69,8 @@ struct ObservabilityOptions {
   static ObservabilityOptions FromFlags(const Flags& flags);
 
   // Turns on the tracer and telemetry sampler of `sim` when asked for
-  // and applies the flight-recorder options. Call before `sim` runs.
+  // and applies the flight-recorder options, with the dump path's next
+  // number as this simulation's base. Call before `sim` runs.
   void Attach(sim::Simulation* sim) const;
 
   // Writes a health page per device in `devices`, then the trace and

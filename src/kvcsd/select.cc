@@ -11,6 +11,12 @@
 // tombstone suppression, the index-block cache, the two-slot prefetch
 // pipeline, and the deduped/coalesced gather fan-out for free, and any
 // future change to scan semantics applies to pushdown automatically.
+//
+// Filtering is the SoC work the host does not pay, and it is spread over
+// every SoC core: the collected rows are cut into fixed-size chunks, each
+// charged on whichever core is free. The predicate, projection and fold
+// themselves still run once, in scan order, so the answer (the aggregate
+// sum included) does not depend on the core count.
 #include <algorithm>
 #include <bit>
 
@@ -18,11 +24,17 @@
 #include "kvcsd/device.h"
 #include "kvcsd/wire.h"
 #include "nvme/skey.h"
+#include "sim/parallel.h"
 #include "sim/tracer.h"
 
 namespace kvcsd::device {
 
 namespace {
+
+// Rows per filter chunk. A constant, not derived from soc_cores, so chunk
+// boundaries (and each chunk's cost rounding) are the same at every core
+// count; only how many chunks run at once changes.
+constexpr std::size_t kFilterChunkRows = 1024;
 
 // Encoded width of a typed attribute; 0 for kBytes (any width is legal).
 std::uint32_t TypedWidth(nvme::SecondaryKeyType type) {
@@ -152,15 +164,28 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     co_return Status::IoError("simulated power loss (mid select scan)");
   }
 
-  std::uint64_t bytes_scanned = 0;
-  for (const auto& [key, value] : rows) bytes_scanned += value.size();
   // The filter streams every gathered value byte through the SoC cores —
   // same rate class as secondary-key extraction — plus fixed per-record
-  // handling. This is the CPU the host does NOT pay.
-  co_await cpu_.ComputeBytes(bytes_scanned,
-                             config_.costs.extract_bytes_per_sec, sim::Activity::kPushdown);
-  co_await cpu_.Compute(static_cast<Tick>(rows.size()) *
-                        config_.costs.kv_op_fixed, sim::Activity::kPushdown);
+  // handling. This is the CPU the host does NOT pay. Each chunk holds one
+  // core for its own bytes and rows, and up to soc_cores chunks run at
+  // once.
+  std::uint64_t bytes_scanned = 0;
+  const std::size_t chunks =
+      (rows.size() + kFilterChunkRows - 1) / kFilterChunkRows;
+  auto filter_chunk = [&](std::size_t c) -> sim::Task<Status> {
+    const std::size_t begin = c * kFilterChunkRows;
+    const std::size_t end = std::min(rows.size(), begin + kFilterChunkRows);
+    std::uint64_t bytes = 0;
+    for (std::size_t i = begin; i < end; ++i) bytes += rows[i].second.size();
+    bytes_scanned += bytes;
+    co_await cpu_.Compute(
+        TransferTicks(bytes, config_.costs.extract_bytes_per_sec) +
+            static_cast<Tick>(end - begin) * config_.costs.kv_op_fixed,
+        sim::Activity::kPushdown);
+    co_return Status::Ok();
+  };
+  KVCSD_CO_RETURN_IF_ERROR(co_await sim::ParallelFor(
+      sim_, chunks, config_.soc_cores, filter_chunk));
 
   nvme::SecondaryIndexSpec pred_spec;
   pred_spec.value_offset = cmd.pred.value_offset;
@@ -220,6 +245,17 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     if (cmd.limit != 0 && matched >= cmd.limit) break;
   }
   KVCSD_CO_RETURN_IF_ERROR(verdict);
+
+  if (aggregate && cmd.agg.func != nvme::AggregateFunc::kCount) {
+    // The chunks above filter and decode in parallel, but a parallel
+    // floating-point sum would depend on how the rows were split. The
+    // device folds the matched values on one core in scan order instead,
+    // which keeps min/max/sum bit-identical to a host fold of the same
+    // rows; charge that pass over one double per match.
+    co_await cpu_.ComputeBytes(matched * sizeof(double),
+                               config_.costs.extract_bytes_per_sec,
+                               sim::Activity::kPushdown);
+  }
 
   if (aggregate) {
     agg.rows = matched;

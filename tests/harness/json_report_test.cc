@@ -175,6 +175,24 @@ TEST(JsonReporterTest, ObservabilityFlagsStayOutOfArgs) {
   EXPECT_NE(plain.ToJson(false).find("\"keys\":\"100\""), std::string::npos);
 }
 
+// Metric names are keys the report escapes with the writer the tracer,
+// flight recorder and telemetry share; a key holding a quote, a backslash
+// and a control byte must come back from ParseJson unchanged.
+TEST(JsonReporterTest, EscapedKeyRoundTrips) {
+  const std::string key = std::string("q\"b\\c") + '\x01' + "\n.end";
+  JsonReporter report("escape", MakeFlags({"--keys=1"}));
+  report.AddMetric(key, std::uint64_t{5});
+  const std::string text = report.ToJson(false);
+  EXPECT_NE(text.find("q\\\"b\\\\c\\u0001\\n.end"), std::string::npos);
+
+  auto parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* metric = parsed->Find("metrics")->Find(key);
+  ASSERT_NE(metric, nullptr);
+  EXPECT_EQ(metric->uint_value(), 5u);
+  EXPECT_EQ(parsed->ToString() + "\n", text);  // the report ends in a newline
+}
+
 TEST(JsonReporterTest, WriteIfRequestedNeedsPath) {
   Flags flags = MakeFlags({"--keys=1"});
   JsonReporter report("no_path", flags);

@@ -1,13 +1,15 @@
 // Testbed observability wiring: what ObservabilityOptions reads from the
 // flags, that a default testbed records nothing and writes no file, how
-// dumps to one path are numbered across testbeds, and that a sharded
-// testbed writes a health page for every shard.
+// dumps to one path are numbered across testbeds (and flight dumps across
+// simulations), and that a sharded testbed writes a health page for every
+// shard.
 #include "harness/observability.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "harness/json_report.h"
 #include "harness/sharded_testbed.h"
 #include "harness/testbed.h"
+#include "sim/simulation.h"
 
 namespace kvcsd::harness {
 namespace {
@@ -124,6 +127,24 @@ TEST(ObservabilityOptionsTest, DumpsToOnePathAreNumberedAcrossTestbeds) {
     EXPECT_TRUE(ParseFile(page).ok()) << page;
   }
   EXPECT_FALSE(fs::exists((dir / "run.health.json").string() + ".3"));
+}
+
+TEST(ObservabilityOptionsTest, EachSimulationGetsItsOwnFlightDumpBase) {
+  const fs::path dir = FreshDir("observability_flight_bases");
+  ObservabilityOptions o;
+  o.flight.dump_path = (dir / "run.flight").string();
+  for (int i = 0; i < 2; ++i) {
+    sim::Simulation sim;
+    o.Attach(&sim);
+    sim.flight().Dump("test");  // each simulation trips once
+  }
+  const fs::path files[] = {dir / "run.flight.1.json",
+                            dir / "run.flight.1.1.json"};
+  for (const fs::path& file : files) EXPECT_TRUE(ParseFile(file).ok()) << file;
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), fs::directory_iterator()),
+            2);
+  // The options themselves keep the path they were given.
+  EXPECT_EQ(o.flight.dump_path, (dir / "run.flight").string());
 }
 
 TEST(ObservabilityOptionsTest, ShardedTestbedWritesOneHealthPagePerShard) {
