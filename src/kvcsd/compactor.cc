@@ -178,11 +178,11 @@ Device::IndexBlockWriter::IndexBlockWriter(Device* device,
 }
 
 std::string* Device::IndexBlockWriter::Entry(std::size_t entry_size,
-                                             const std::string& pivot) {
+                                             const Slice& pivot) {
   if (block_.size() + entry_size > block_size_) CloseBlock();
   if (count_ == 0) {
     open_slot_ = sketch_->size();
-    sketch_->push_back(SketchEntry{pivot, 0, block_size_});
+    sketch_->push_back(SketchEntry{pivot.ToString(), 0, block_size_});
   }
   ++count_;
   return &block_;
@@ -466,7 +466,7 @@ sim::Task<Status> Device::RunCompaction(
   // (the paper's stated cost of consolidating index construction).
   const std::uint64_t budget_shares = 1 + fused_specs.size();
   const std::uint64_t run_budget =
-      config_.EffectiveSortRunBytes() / budget_shares;
+      config_.SortBudgetBytes() / budget_shares;
 
   std::vector<SidxSortState> fused_states(fused_specs.size());
   for (auto& state : fused_states) {
@@ -548,7 +548,7 @@ sim::Task<Status> Device::RunCompaction(
   // Up to three batches can be DRAM-resident at once (one being built,
   // one queued, one being indexed), so each takes a third of the budget.
   const std::uint64_t batch_budget = std::max<std::uint64_t>(
-      config_.dram_bytes / 4 / budget_shares / 3, KiB(64));
+      config_.SortBudgetBytes() / budget_shares / 3, KiB(64));
 
   // Gathers the batch's values, rewrites them in key order (recording the
   // new addresses), and hands the batch to the index-build stage.
@@ -697,7 +697,7 @@ sim::Task<Status> Device::BuildSecondaryIndex(
     Keyspace* ks, const nvme::SecondaryIndexSpec& spec,
     std::vector<ClusterId>* scratch) {
   SidxSortState state;
-  state.run_budget = config_.EffectiveSortRunBytes();
+  state.run_budget = config_.SortBudgetBytes();
   state.scratch = scratch;
 
   // Step 1 (paper): full scan extracting <skey, pkey> pairs. Walk PIDX
@@ -727,24 +727,19 @@ sim::Task<Status> Device::BuildSecondaryIndex(
     co_return Status::Ok();
   };
 
+  wire::IndexBlockDecoder decoder(wire::IndexKind::kPidx);
   for (const SketchEntry& block_ref : ks->run.pidx_sketch) {
     auto block = co_await ReadIndexBlock(ks->id, block_ref, sim::Activity::kCompact);
     if (!block.ok()) co_return block.status();
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      co_return Status::Corruption("undersized PIDX block during sidx scan");
-    }
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        co_return Status::Corruption("bad PIDX entry during sidx scan");
-      }
+    KVCSD_CO_RETURN_IF_ERROR(decoder.Open(std::move(*block)));
+    while (!decoder.done()) {
+      wire::IndexEntry entry;
+      KVCSD_CO_RETURN_IF_ERROR(decoder.Next(&entry));
       batch_refs.push_back(ValueRef{entry.vaddr, entry.vlen});
-      batch_meta.emplace_back(entry.key.ToString(), entry.vaddr);
+      batch_meta.emplace_back(entry.pkey.ToString(), entry.vaddr);
       batch_lens.push_back(entry.vlen);
       batch_bytes += entry.vlen;
-      if (batch_bytes >= config_.dram_bytes / 4) {
+      if (batch_bytes >= config_.SortBudgetBytes()) {
         KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
       }
     }

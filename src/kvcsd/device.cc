@@ -535,13 +535,12 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       break;
     }
     case nvme::Opcode::kQueryPrimaryRange:
-      out.status = co_await QueryPrimaryRange(ks, cmd.key, cmd.key_end,
-                                              cmd.limit, &out.results);
-      out.count = out.results.size();
-      break;
     case nvme::Opcode::kQuerySecondaryRange:
-      out.status = co_await QuerySecondaryRange(
-          ks, cmd.sidx.name, cmd.key, cmd.key_end, cmd.limit, &out.results);
+      out.status = co_await QueryRange(
+          ks,
+          cmd.opcode == nvme::Opcode::kQuerySecondaryRange ? &cmd.sidx.name
+                                                           : nullptr,
+          cmd.key, cmd.key_end, cmd.limit, &out.results);
       out.count = out.results.size();
       break;
     case nvme::Opcode::kKvSelect:

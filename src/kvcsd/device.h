@@ -53,13 +53,11 @@ struct DeviceConfig {
   std::uint32_t index_block_size = 4096;
   // Appends to SORTED_VALUES/PIDX/SIDX are batched to this size.
   std::uint64_t output_batch_bytes = KiB(256);
-  // Merge-sort run size; 0 derives dram_bytes / 4.
-  std::uint64_t sort_run_bytes = 0;
   hostenv::CostModel costs = hostenv::CostModel::Soc();
 
   // --- read-path acceleration (DESIGN.md §10) ---
-  // DRAM carved out for the PIDX/SIDX block cache, alongside the sort-run
-  // budget above; 0 derives dram_bytes / 8. Set index_cache_enabled=false
+  // DRAM carved out for the PIDX/SIDX block cache, alongside the sort
+  // budget below; 0 derives dram_bytes / 8. Set index_cache_enabled=false
   // to turn the cache off regardless of size (for ablations).
   std::uint64_t index_cache_bytes = 0;
   bool index_cache_enabled = true;
@@ -71,8 +69,6 @@ struct DeviceConfig {
   // the serial behavior. Values beyond the NAND channel count only add
   // queueing.
   std::uint32_t gather_fanout = 8;
-  // Overlap the next index-block read with the current one in range scans.
-  bool index_prefetch = true;
 
   // Stats/telemetry/trace name prefix for this device instance. Empty (the
   // default) keeps every historical name; a fleet of devices sharing one
@@ -89,9 +85,9 @@ struct DeviceConfig {
   // delta can occupy. 0 (the default) disables the watermark.
   std::uint64_t delta_fold_watermark_bytes = 0;
 
-  std::uint64_t EffectiveSortRunBytes() const {
-    return sort_run_bytes != 0 ? sort_run_bytes : dram_bytes / 4;
-  }
+  // The DRAM budget of a job's external sorts (a compaction splits it
+  // with its fused index sorts) and of the index build's value scan.
+  std::uint64_t SortBudgetBytes() const { return dram_bytes / 4; }
   std::uint64_t EffectiveIndexCacheBytes() const {
     if (!index_cache_enabled) return 0;
     return index_cache_bytes != 0 ? index_cache_bytes : dram_bytes / 8;
@@ -410,7 +406,7 @@ class Device {
     // The open block, with room for one more entry of `entry_size` bytes
     // (the caller serializes it there): the current block is closed first
     // when the entry does not fit, and `pivot` names a freshly opened one.
-    std::string* Entry(std::size_t entry_size, const std::string& pivot);
+    std::string* Entry(std::size_t entry_size, const Slice& pivot);
     void CloseBlock();
     bool batch_full() const {
       return batch_.size() >= device_->config_.output_batch_bytes;
@@ -492,15 +488,15 @@ class Device {
   // --- queries (query.cc) ---
   sim::Task<Result<std::string>> QueryPoint(Keyspace* ks,
                                             const std::string& key);
-  // `act` attributes the scan's flash reads and SoC compute: host-read for
-  // client-issued scans, pushdown when QueryPushdown drives them.
-  sim::Task<Status> QueryPrimaryRange(
-      Keyspace* ks, const std::string& lo, const std::string& hi,
-      std::uint32_t limit,
-      std::vector<std::pair<std::string, std::string>>* out,
-      sim::Activity act = sim::Activity::kHostRead);
-  sim::Task<Status> QuerySecondaryRange(
-      Keyspace* ks, const std::string& index_name, const std::string& lo,
+  // The one range scan: [lo, hi] of the primary index (`index_name`
+  // null) or of the named secondary index, whose range is over its
+  // order-encoded keys. Returns (pkey, value) rows in pkey or (skey, pkey)
+  // order, at most `limit` of them (0 = no limit), with the run merged
+  // with the delta index. `act` attributes the scan's flash reads and SoC
+  // compute: host-read for client-issued scans, pushdown when
+  // QueryPushdown drives them.
+  sim::Task<Status> QueryRange(
+      Keyspace* ks, const std::string* index_name, const std::string& lo,
       const std::string& hi, std::uint32_t limit,
       std::vector<std::pair<std::string, std::string>>* out,
       sim::Activity act = sim::Activity::kHostRead);
@@ -525,10 +521,10 @@ class Device {
 
   // Reads a list of index blocks in list order with up to `window` reads
   // in flight: while Next() hands back block i, blocks i+1 ..
-  // i+window-1 are already being read. The one way the device reads a
-  // run of index blocks — range scans (window 2 with index_prefetch, else
-  // 1) and a fold's dirty-PIDX and SIDX streams (gather_fanout). A
-  // streaming window, never a read-everything-first buffer. The owner
+  // i+window-1 are already being read; a window of 1 reads inline. The
+  // one way the device streams a run of index blocks — range scans
+  // (window 2) and a fold's dirty-PIDX and SIDX streams (gather_fanout).
+  // A streaming window, never a read-everything-first buffer. The owner
   // MUST co_await Drain() before the stream dies: detached reads write
   // into its slots.
   class IndexBlockStream {

@@ -121,7 +121,7 @@ struct KlogMergeTraits {
 struct SidxMergeTraits {
   using Entry = SidxTuple;
   static bool Parse(Slice* in, Entry* out) {
-    wire::SidxEntry e;
+    wire::IndexEntry e;
     if (!wire::ParseSidxEntry(in, &e)) return false;
     out->skey.assign(e.skey.data(), e.skey.size());
     out->pkey.assign(e.pkey.data(), e.pkey.size());

@@ -4,7 +4,9 @@
 // binary-search the sketch, read the covering 4 KB PIDX/SIDX block(s) from
 // flash, then gather exactly the matching values. Because everything runs
 // in the device, only results travel back over PCIe — the mechanism behind
-// the paper's selectivity-dependent speedups (Fig. 12).
+// the paper's selectivity-dependent speedups (Fig. 12). Primary and
+// secondary range queries share one scan body, QueryRange; every index
+// block any reader fetches is decoded by wire::IndexBlockDecoder.
 //
 // Read acceleration (DESIGN.md §10):
 //   - ReadIndexBlock fronts a DRAM index-block cache; a hit pays only the
@@ -18,9 +20,9 @@
 //
 // Mutability (DESIGN.md §12): a COMPACTED keyspace carries a delta index
 // of post-compaction mutations. Point lookups consult it first (it is
-// strictly newer than the run); range and secondary scans two-way merge
-// the sorted run with the key-ordered delta under last-writer-wins, with
-// tombstones suppressing run entries. An incremental re-compaction (fold)
+// strictly newer than the run); range scans two-way merge the sorted run
+// with the ordered delta rows under last-writer-wins, with tombstones
+// suppressing run entries. An incremental re-compaction (fold)
 // seals the delta at its start and writes only fresh clusters; writes
 // admitted while it runs join the same delta index as a newer generation,
 // so the pre-fold run stays fixed and queries keep reading it, merged
@@ -29,6 +31,7 @@
 // a reader count, which the commit drains before it swaps the on-flash
 // structures.
 #include <algorithm>
+#include <tuple>
 
 #include "common/bloom.h"
 #include "kvcsd/device.h"
@@ -337,17 +340,12 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
 
   auto block = co_await ReadIndexBlock(ks->id, ks->run.pidx_sketch[pos]);
   if (!block.ok()) co_return block.status();
-  std::uint16_t count = 0;
-  Slice in;
-  if (!wire::OpenIndexBlock(*block, &count, &in)) {
-    co_return Status::Corruption("undersized PIDX block");
-  }
-  for (std::uint16_t i = 0; i < count; ++i) {
-    wire::PidxEntry entry;
-    if (!wire::ParsePidxEntry(&in, &entry)) {
-      co_return Status::Corruption("bad PIDX block");
-    }
-    if (entry.key == Slice(key)) {
+  wire::IndexBlockDecoder decoder(wire::IndexKind::kPidx);
+  KVCSD_CO_RETURN_IF_ERROR(decoder.Open(std::move(*block)));
+  while (!decoder.done()) {
+    wire::IndexEntry entry;
+    KVCSD_CO_RETURN_IF_ERROR(decoder.Next(&entry));
+    if (entry.pkey == Slice(key)) {
       std::vector<ValueRef> one;
       one.push_back(ValueRef{entry.vaddr, entry.vlen});
       auto values = co_await GatherValues(std::move(one));
@@ -355,7 +353,7 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
       span.Arg("src", "run");
       co_return std::move((*values)[0]);
     }
-    if (Slice(key) < entry.key) break;  // sorted: key is absent
+    if (Slice(key) < entry.pkey) break;  // sorted: key is absent
   }
   if (bloom_said_maybe) {
     stats().counter("device.bloom.false_positive").Increment();
@@ -364,301 +362,161 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   co_return Status::NotFound();
 }
 
-sim::Task<Status> Device::QueryPrimaryRange(
-    Keyspace* ks, const std::string& lo, const std::string& hi,
-    std::uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out,
-    sim::Activity act) {
-  KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, &Runtime(ks).readers_idle);
-
-  // Snapshot the in-range slice of the delta (the map is key-ordered, so
-  // this is already sorted). Every in-range tombstone can suppress one run
-  // row, so the run scan collects that many extra rows to keep `limit`
-  // honest; the merge below trims back to `limit`. DeltaEntry pointers
-  // stay valid across awaits: the map is node-based and the re-compaction
-  // that clears it drains active_readers first.
-  std::vector<std::pair<std::string, const DeltaEntry*>> delta_rows;
-  std::uint32_t scan_limit = limit;
-  for (auto it = ks->delta_index.lower_bound(lo);
-       it != ks->delta_index.end() && it->first <= hi; ++it) {
-    delta_rows.emplace_back(it->first, &it->second);
-    if (limit != 0 && it->second.tombstone) ++scan_limit;
-  }
-
-  // Block pos+1's read stays in flight while block pos is parsed; the
-  // stream never reads past `hi`, so at most one read (a mid-block limit
-  // cut) is wasted. Every error exit breaks to the drain below, since
-  // detached reads write into the stream.
-  IndexBlockStream blocks(this, ks->id, ScanBlocks(ks->run.pidx_sketch, lo, hi),
-                         config_.index_prefetch ? 2 : 1, act);
-  Status scan_status = Status::Ok();
-  std::vector<std::pair<std::string, ValueRef>> matches;
-  std::string prev_key;
-  bool have_prev = false;
-  while (!blocks.done()) {
-    Result<std::string> block = co_await blocks.Next();
-    if (!block.ok()) {
-      scan_status = block.status();
-      break;
-    }
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      scan_status = Status::Corruption("undersized PIDX block");
-      break;
-    }
-    bool past_hi = false;
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        scan_status = Status::Corruption("bad PIDX block");
-        break;
-      }
-      // The merge emits PIDX entries in nondecreasing key order across
-      // block boundaries; a violation means a corrupt or misdirected
-      // block and would silently mis-cut `limit`, so fail loudly.
-      if (have_prev && entry.key < Slice(prev_key)) {
-        scan_status = Status::Corruption("PIDX entries out of key order");
-        break;
-      }
-      prev_key = entry.key.ToString();
-      have_prev = true;
-      if (entry.key < Slice(lo)) continue;
-      if (Slice(hi) < entry.key) {
-        past_hi = true;
-        break;
-      }
-      matches.emplace_back(entry.key.ToString(),
-                           ValueRef{entry.vaddr, entry.vlen});
-      if (scan_limit != 0 && matches.size() >= scan_limit) {
-        past_hi = true;
-        break;
-      }
-    }
-    if (!scan_status.ok() || past_hi) break;
-  }
-  co_await DrainScan(&blocks);
-  KVCSD_CO_RETURN_IF_ERROR(scan_status);
-
-  // Two-way merge with the delta snapshot: the delta wins ties (strictly
-  // newer), tombstones suppress their run rows, and delta-only keys slot
-  // into key order.
-  struct Row {
-    std::string key;
-    ValueRef ref{0, 0};
-    const DeltaEntry* delta = nullptr;
-  };
-  std::vector<Row> rows;
-  rows.reserve(matches.size() + delta_rows.size());
-  std::size_t ri = 0;
-  std::size_t di = 0;
-  while ((ri < matches.size() || di < delta_rows.size()) &&
-         (limit == 0 || rows.size() < limit)) {
-    const bool run_left = ri < matches.size();
-    const bool delta_left = di < delta_rows.size();
-    if (delta_left && (!run_left || delta_rows[di].first <= matches[ri].first)) {
-      if (run_left && delta_rows[di].first == matches[ri].first) {
-        ++ri;  // the run row is stale
-      }
-      const DeltaEntry* d = delta_rows[di].second;
-      if (!d->tombstone) {
-        rows.push_back(Row{delta_rows[di].first, ValueRef{0, 0}, d});
-      }
-      ++di;
-    } else {
-      rows.push_back(
-          Row{std::move(matches[ri].first), matches[ri].second, nullptr});
-      ++ri;
-    }
-  }
-
-  // One batched gather covers everything that lives on flash: run values
-  // plus delta values that only survive as VLOG pointers after a power
-  // cycle. Inline delta values copy straight from DRAM.
-  std::vector<ValueRef> refs;
-  std::vector<std::size_t> ref_slot;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].delta == nullptr) {
-      refs.push_back(rows[r].ref);
-      ref_slot.push_back(r);
-    } else if (!rows[r].delta->has_value && rows[r].delta->vlen > 0) {
-      refs.push_back(ValueRef{rows[r].delta->vaddr, rows[r].delta->vlen});
-      ref_slot.push_back(r);
-    }
-  }
-  auto values = co_await GatherValues(std::move(refs), act);
-  if (!values.ok()) co_return values.status();
-  std::vector<std::string> vals(rows.size());
-  for (std::size_t k = 0; k < ref_slot.size(); ++k) {
-    vals[ref_slot[k]] = std::move((*values)[k]);
-  }
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].delta != nullptr && rows[r].delta->has_value) {
-      vals[r] = rows[r].delta->value;
-    }
-  }
-  out->reserve(out->size() + rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    out->emplace_back(std::move(rows[r].key), std::move(vals[r]));
-  }
-  co_return Status::Ok();
-}
-
-sim::Task<Status> Device::QuerySecondaryRange(
-    Keyspace* ks, const std::string& index_name, const std::string& lo,
+sim::Task<Status> Device::QueryRange(
+    Keyspace* ks, const std::string* index_name, const std::string& lo,
     const std::string& hi, std::uint32_t limit,
     std::vector<std::pair<std::string, std::string>>* out,
     sim::Activity act) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
   ReaderGuard reader(ks, &Runtime(ks).readers_idle);
-  auto sidx_it = ks->run.secondary_indexes.find(index_name);
-  if (sidx_it == ks->run.secondary_indexes.end()) {
-    co_return Status::NotFound("no such secondary index: " + index_name);
+  const SecondaryIndex* sidx = nullptr;
+  if (index_name != nullptr) {
+    auto it = ks->run.secondary_indexes.find(*index_name);
+    if (it == ks->run.secondary_indexes.end()) {
+      co_return Status::NotFound("no such secondary index: " + *index_name);
+    }
+    sidx = &it->second;
   }
-  const SecondaryIndex& sidx = sidx_it->second;
 
-  // Every delta key's run tuple (if any) is stale — an overwrite may have
-  // moved the row's secondary key, a tombstone removed it — so the scan
-  // below drops run tuples whose pkey appears in the delta and this loop
-  // contributes the replacement tuples: load each live delta value,
-  // extract + order-encode its secondary key, keep the in-range ones.
-  // Any delta key may hide one run tuple anywhere in range, so the scan
-  // over-collects by the delta size to keep `limit` honest.
-  struct FreshTuple {
+  // Both sides of the merge are ordered by (skey, pkey); PIDX rows leave
+  // skey empty, so they order by pkey alone. A PIDX delta row reads its
+  // entry when it is merged and gathered, as the delta stands then; a SIDX
+  // delta row carries the value it was loaded with.
+  struct DeltaRow {
     std::string skey;
     std::string pkey;
-    std::string value;
+    const DeltaEntry* entry = nullptr;  // PIDX
+    std::string value;                  // SIDX
   };
-  std::vector<FreshTuple> fresh;
-  std::uint32_t scan_limit = limit;
-  for (const auto& [pkey, entry] : ks->delta_index) {
-    if (limit != 0) ++scan_limit;
-    if (entry.tombstone) continue;
-    auto value = co_await LoadDeltaValue(entry, act);
-    if (!value.ok()) co_return value.status();
-    auto skey = nvme::ExtractSecondaryKey(Slice(*value), sidx.spec);
-    if (!skey.ok()) co_return skey.status();
-    if (*skey < lo || hi < *skey) continue;
-    fresh.push_back(FreshTuple{std::move(*skey), pkey, std::move(*value)});
-  }
-  std::sort(fresh.begin(), fresh.end(),
-            [](const FreshTuple& a, const FreshTuple& b) {
-              if (a.skey != b.skey) return a.skey < b.skey;
-              return a.pkey < b.pkey;
-            });
-
-  IndexBlockStream blocks(this, ks->id, ScanBlocks(sidx.sketch, lo, hi),
-                         config_.index_prefetch ? 2 : 1, act);
-  Status scan_status = Status::Ok();
-  struct RunTuple {
+  struct RunRow {
     std::string skey;
     std::string pkey;
     ValueRef ref;
   };
-  std::vector<RunTuple> matches;
-  // SIDX blocks are globally sorted by (skey, pkey) — SidxMergeToBlocks
-  // emits them in exactly that order — so when `limit` lands inside a run
-  // of tied secondary keys, the cut is deterministic: the survivors are
-  // always the lexicographically-smallest primary keys of the tie,
-  // independent of core count, gather fan-out, or cache state. Verify the
-  // invariant while scanning; a violation would silently randomize the
-  // cut, so it fails loudly as corruption.
-  std::string prev_skey;
-  std::string prev_pkey;
-  bool have_prev = false;
-  while (!blocks.done()) {
+  std::vector<DeltaRow> delta;
+  // Extra run rows to collect so the merge can still fill `limit` after
+  // the delta has suppressed some of them.
+  std::uint32_t scan_limit = limit;
+  if (sidx == nullptr) {
+    // The in-range slice of the delta, already key-ordered. Every in-range
+    // tombstone can suppress one run row. DeltaEntry pointers stay valid
+    // across awaits: the map is node-based and the commit that clears it
+    // drains active_readers first.
+    for (auto it = ks->delta_index.lower_bound(lo);
+         it != ks->delta_index.end() && it->first <= hi; ++it) {
+      delta.push_back(DeltaRow{{}, it->first, &it->second, {}});
+      if (limit != 0 && it->second.tombstone) ++scan_limit;
+    }
+  } else {
+    // Every delta key's run tuple (if any) is stale — an overwrite may
+    // have moved the row's secondary key, a tombstone removed it — so the
+    // scan drops run tuples whose pkey appears in the delta, and this loop
+    // contributes the replacements: load each live delta value, extract
+    // its secondary key, keep the in-range ones. Any delta key may hide
+    // one run tuple anywhere in range.
+    for (const auto& [pkey, entry] : ks->delta_index) {
+      if (limit != 0) ++scan_limit;
+      if (entry.tombstone) continue;
+      auto value = co_await LoadDeltaValue(entry, act);
+      if (!value.ok()) co_return value.status();
+      auto skey = nvme::ExtractSecondaryKey(Slice(*value), sidx->spec);
+      if (!skey.ok()) co_return skey.status();
+      if (*skey < lo || hi < *skey) continue;
+      delta.push_back(
+          DeltaRow{std::move(*skey), pkey, nullptr, std::move(*value)});
+    }
+    std::sort(delta.begin(), delta.end(),
+              [](const DeltaRow& a, const DeltaRow& b) {
+                return std::tie(a.skey, a.pkey) < std::tie(b.skey, b.pkey);
+              });
+  }
+
+  // Block pos+1's read stays in flight while block pos is decoded; the
+  // stream never reads past `hi`, so at most one read (a mid-block limit
+  // cut) is wasted. Every error exit breaks to the drain below, since
+  // detached reads write into the stream. The decoder fails a block out
+  // of order: that would silently mis-cut `limit`, which for SIDX keeps
+  // the smallest pkeys of a tied secondary key.
+  IndexBlockStream blocks(this, ks->id,
+                          ScanBlocks(sidx != nullptr ? sidx->sketch
+                                                     : ks->run.pidx_sketch,
+                                     lo, hi),
+                          /*window=*/2, act);
+  wire::IndexBlockDecoder decoder(sidx != nullptr ? wire::IndexKind::kSidx
+                                                  : wire::IndexKind::kPidx);
+  Status scan_status = Status::Ok();
+  std::vector<RunRow> run;
+  bool cut = false;
+  while (!cut && !blocks.done()) {
     Result<std::string> block = co_await blocks.Next();
-    if (!block.ok()) {
-      scan_status = block.status();
-      break;
-    }
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      scan_status = Status::Corruption("undersized SIDX block");
-      break;
-    }
-    bool past_hi = false;
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::SidxEntry entry;
-      if (!wire::ParseSidxEntry(&in, &entry)) {
-        scan_status = Status::Corruption("bad SIDX block");
-        break;
-      }
-      if (have_prev && (entry.skey < Slice(prev_skey) ||
-                        (entry.skey == Slice(prev_skey) &&
-                         entry.pkey < Slice(prev_pkey)))) {
-        scan_status =
-            Status::Corruption("SIDX entries out of (skey, pkey) order");
-        break;
-      }
-      prev_skey = entry.skey.ToString();
-      prev_pkey = entry.pkey.ToString();
-      have_prev = true;
-      if (entry.skey < Slice(lo)) continue;
-      if (Slice(hi) < entry.skey) {
-        past_hi = true;
-        break;
-      }
-      if (ks->delta_index.contains(entry.pkey.ToString())) {
+    scan_status = block.ok() ? decoder.Open(std::move(*block))
+                             : block.status();
+    while (scan_status.ok() && !cut && !decoder.done()) {
+      wire::IndexEntry entry;
+      scan_status = decoder.Next(&entry);
+      if (!scan_status.ok()) break;
+      const Slice range_key = sidx != nullptr ? entry.skey : entry.pkey;
+      if (range_key < Slice(lo)) continue;
+      cut = Slice(hi) < range_key;
+      if (cut) break;
+      if (sidx != nullptr && ks->delta_index.contains(entry.pkey.ToString())) {
         continue;  // stale: this row was overwritten or deleted
       }
-      matches.push_back(RunTuple{entry.skey.ToString(), entry.pkey.ToString(),
-                                 ValueRef{entry.vaddr, entry.vlen}});
-      if (scan_limit != 0 && matches.size() >= scan_limit) {
-        past_hi = true;
-        break;
-      }
+      run.push_back(RunRow{entry.skey.ToString(), entry.pkey.ToString(),
+                           ValueRef{entry.vaddr, entry.vlen}});
+      cut = scan_limit != 0 && run.size() >= scan_limit;
     }
-    if (!scan_status.ok() || past_hi) break;
+    if (!scan_status.ok()) break;
   }
   co_await DrainScan(&blocks);
   KVCSD_CO_RETURN_IF_ERROR(scan_status);
 
-  // Merge run survivors with the fresh delta tuples by (skey, pkey) — the
-  // two sets are disjoint by construction (run tuples whose pkey is in the
-  // delta were dropped above) — and cut at `limit`.
-  struct OutRow {
+  // Two-way merge cut at `limit`: on a tie the delta row replaces the
+  // run row (it is strictly newer), a delta tombstone emits nothing, and
+  // delta-only rows slot into order.
+  struct Row {
     std::string pkey;
-    bool from_fresh = false;
-    std::size_t fresh_idx = 0;
     ValueRef ref{0, 0};
+    DeltaRow* delta = nullptr;  // null for a run row
   };
-  std::vector<OutRow> rows;
-  rows.reserve(matches.size() + fresh.size());
+  std::vector<Row> rows;
+  rows.reserve(run.size() + delta.size());
   std::size_t ri = 0;
-  std::size_t fi = 0;
-  while ((ri < matches.size() || fi < fresh.size()) &&
+  std::size_t di = 0;
+  while ((ri < run.size() || di < delta.size()) &&
          (limit == 0 || rows.size() < limit)) {
-    bool take_fresh;
-    if (ri >= matches.size()) {
-      take_fresh = true;
-    } else if (fi >= fresh.size()) {
-      take_fresh = false;
+    const bool run_left = ri < run.size();
+    if (di < delta.size() &&
+        (!run_left || std::tie(delta[di].skey, delta[di].pkey) <=
+                          std::tie(run[ri].skey, run[ri].pkey))) {
+      DeltaRow& d = delta[di++];
+      if (run_left && d.skey == run[ri].skey && d.pkey == run[ri].pkey) {
+        ++ri;  // the run row is stale
+      }
+      if (d.entry != nullptr && d.entry->tombstone) continue;
+      rows.push_back(Row{std::move(d.pkey), ValueRef{0, 0}, &d});
     } else {
-      const FreshTuple& f = fresh[fi];
-      const RunTuple& m = matches[ri];
-      take_fresh =
-          f.skey < m.skey || (f.skey == m.skey && f.pkey < m.pkey);
-    }
-    if (take_fresh) {
-      rows.push_back(OutRow{std::move(fresh[fi].pkey), true, fi, {0, 0}});
-      ++fi;
-    } else {
-      rows.push_back(
-          OutRow{std::move(matches[ri].pkey), false, 0, matches[ri].ref});
+      rows.push_back(Row{std::move(run[ri].pkey), run[ri].ref, nullptr});
       ++ri;
     }
   }
 
+  // One batched gather covers everything that lives on flash: run values
+  // plus PIDX delta values that only survive as VLOG pointers after a
+  // power cycle. Inline delta values copy straight from DRAM.
   std::vector<ValueRef> refs;
   std::vector<std::size_t> ref_slot;
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!rows[r].from_fresh) {
+    const DeltaRow* d = rows[r].delta;
+    if (d == nullptr) {
       refs.push_back(rows[r].ref);
-      ref_slot.push_back(r);
+    } else if (d->entry != nullptr && !d->entry->has_value &&
+               d->entry->vlen > 0) {
+      refs.push_back(ValueRef{d->entry->vaddr, d->entry->vlen});
+    } else {
+      continue;
     }
+    ref_slot.push_back(r);
   }
   auto values = co_await GatherValues(std::move(refs), act);
   if (!values.ok()) co_return values.status();
@@ -666,11 +524,15 @@ sim::Task<Status> Device::QuerySecondaryRange(
   for (std::size_t k = 0; k < ref_slot.size(); ++k) {
     vals[ref_slot[k]] = std::move((*values)[k]);
   }
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].from_fresh) vals[r] = std::move(fresh[rows[r].fresh_idx].value);
-  }
   out->reserve(out->size() + rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (DeltaRow* d = rows[r].delta; d != nullptr) {
+      if (d->entry == nullptr) {
+        vals[r] = std::move(d->value);
+      } else if (d->entry->has_value) {
+        vals[r] = d->entry->value;
+      }
+    }
     out->emplace_back(std::move(rows[r].pkey), std::move(vals[r]));
   }
   co_return Status::Ok();

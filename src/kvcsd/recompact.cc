@@ -25,7 +25,9 @@
 //    ever costs false positives, never false negatives.
 //
 // Fold I/O: the dirty blocks (PIDX) and every block (SIDX) are read
-// through an IndexBlockStream, gather_fanout reads in flight, and rebuilt
+// through an IndexBlockStream, gather_fanout reads in flight, and decoded
+// by the one wire::IndexBlockDecoder, which fails a stream whose entries
+// break the index order (a fold would otherwise rewrite them); rebuilt
 // blocks go out through the one IndexBlockWriter in output_batch_bytes
 // appends whose sketch addresses are patched as each append lands.
 // Batching moves no block boundary: each rebuilt group still starts a
@@ -77,33 +79,6 @@ struct FoldItem {
   std::string value;           // loaded bytes (empty for a tombstone)
   std::uint64_t new_addr = 0;  // where the value was re-appended
 };
-
-struct PidxRec {
-  std::string key;
-  std::uint64_t vaddr = 0;
-  std::uint32_t vlen = 0;
-};
-
-// Appends the entries of one PIDX block to `out`, adding their merge
-// bytes to `*fold_bytes`.
-Status ParsePidxBlock(const std::string& block, std::vector<PidxRec>* out,
-                      std::uint64_t* fold_bytes) {
-  std::uint16_t count = 0;
-  Slice in;
-  if (!wire::OpenIndexBlock(block, &count, &in)) {
-    return Status::Corruption("undersized PIDX block in fold");
-  }
-  out->reserve(out->size() + count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    wire::PidxEntry entry;
-    if (!wire::ParsePidxEntry(&in, &entry)) {
-      return Status::Corruption("bad PIDX block in fold");
-    }
-    out->push_back(PidxRec{entry.key.ToString(), entry.vaddr, entry.vlen});
-    *fold_bytes += entry.key.size() + 12;
-  }
-  return Status::Ok();
-}
 
 std::vector<const SketchEntry*> Pointers(
     const std::vector<SketchEntry>& sketch) {
@@ -226,36 +201,40 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   IndexBlockWriter pidx_out(this, &new_pidx_clusters, ZoneType::kPidx,
                             &new_sketch, sim::Activity::kRecompact, scratch);
 
-  // Two-pointer LWW merge of one dirty block with its delta keys.
-  auto merge_block = [&](const std::vector<PidxRec>& old_recs,
+  // Two-pointer LWW merge of one dirty block with its delta keys. The
+  // merged entries alias the decoded block and the fold items.
+  auto merge_block = [&](const std::vector<wire::IndexEntry>& old_recs,
                          const std::vector<const FoldItem*>& delta,
-                         std::vector<PidxRec>* out) {
+                         std::vector<wire::IndexEntry>* out) {
     std::size_t i = 0, j = 0;
     while (i < old_recs.size() || j < delta.size()) {
       if (j >= delta.size() ||
-          (i < old_recs.size() && old_recs[i].key < delta[j]->key)) {
+          (i < old_recs.size() && old_recs[i].pkey < Slice(delta[j]->key))) {
         out->push_back(old_recs[i]);
         ++i;
         continue;
       }
       const FoldItem* d = delta[j];
-      const bool match = i < old_recs.size() && old_recs[i].key == d->key;
+      const bool match =
+          i < old_recs.size() && old_recs[i].pkey == Slice(d->key);
       if (match) ++i;
       if (d->tombstone) {
         if (match) --run_entries_delta;  // removed a run key
       } else {
-        out->push_back(PidxRec{d->key, d->new_addr,
-                               static_cast<std::uint32_t>(d->value.size())});
+        out->push_back(wire::IndexEntry{
+            Slice(), Slice(d->key), d->new_addr,
+            static_cast<std::uint32_t>(d->value.size())});
         if (!match) ++run_entries_delta;  // inserted a new key
       }
       ++j;
     }
   };
   // Packs one rebuilt group; it ends with its own block.
-  auto pack = [&](const std::vector<PidxRec>& recs) -> sim::Task<Status> {
-    for (const PidxRec& rec : recs) {
+  auto pack =
+      [&](const std::vector<wire::IndexEntry>& recs) -> sim::Task<Status> {
+    for (const wire::IndexEntry& rec : recs) {
       wire::AppendPidxEntry(
-          pidx_out.Entry(wire::PidxEntrySize(rec.key), rec.key), rec.key,
+          pidx_out.Entry(wire::PidxEntrySize(rec.pkey), rec.pkey), rec.pkey,
           rec.vaddr, rec.vlen);
       if (pidx_out.batch_full()) {
         KVCSD_CO_RETURN_IF_ERROR(co_await pidx_out.Flush());
@@ -275,6 +254,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       std::max<std::uint32_t>(config_.gather_fanout, 1);
   IndexBlockStream dirty_blocks(this, ks->id, std::move(dirty_list), fanout,
                                 sim::Activity::kRecompact);
+  wire::IndexBlockDecoder pidx_decoder(wire::IndexKind::kPidx);
   std::uint64_t fold_bytes = 0;
   Status pidx_status = Status::Ok();
   for (std::size_t pos = 0; pos < old_sketch.size(); ++pos) {
@@ -290,10 +270,17 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       break;
     }
     compaction_stats_.bytes_read += old_sketch[pos].block_len;
-    std::vector<PidxRec> old_recs;
-    pidx_status = ParsePidxBlock(*block, &old_recs, &fold_bytes);
+    pidx_status = pidx_decoder.Open(std::move(*block));
+    std::vector<wire::IndexEntry> old_recs;
+    while (pidx_status.ok() && !pidx_decoder.done()) {
+      wire::IndexEntry rec;
+      pidx_status = pidx_decoder.Next(&rec);
+      if (!pidx_status.ok()) break;
+      old_recs.push_back(rec);
+      fold_bytes += rec.pkey.size() + 12;
+    }
     if (!pidx_status.ok()) break;
-    std::vector<PidxRec> merged;
+    std::vector<wire::IndexEntry> merged;
     merged.reserve(old_recs.size() + per_block[pos].size());
     merge_block(old_recs, per_block[pos], &merged);
     pidx_status = co_await pack(merged);
@@ -303,7 +290,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   KVCSD_CO_RETURN_IF_ERROR(pidx_status);
   if (!orphan_items.empty()) {
     // Empty run: the delta becomes the run.
-    std::vector<PidxRec> merged;
+    std::vector<wire::IndexEntry> merged;
     merge_block({}, orphan_items, &merged);
     KVCSD_CO_RETURN_IF_ERROR(co_await pack(merged));
     ++pidx_rebuilt;
@@ -421,6 +408,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     // reads in flight; survivors of dirty blocks join the open region.
     IndexBlockStream blocks(this, ks->id, Pointers(sketch), fanout,
                             sim::Activity::kRecompact);
+    wire::IndexBlockDecoder decoder(wire::IndexKind::kSidx);
     Status sidx_status = Status::Ok();
     for (std::size_t pos = 0; pos < sketch.size(); ++pos) {
       auto block = co_await blocks.Next();
@@ -429,21 +417,13 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         break;
       }
       compaction_stats_.bytes_read += sketch[pos].block_len;
-      std::uint16_t count = 0;
-      Slice in;
-      if (!wire::OpenIndexBlock(*block, &count, &in)) {
-        sidx_status = Status::Corruption("undersized SIDX block in fold");
-        break;
-      }
+      sidx_status = decoder.Open(std::move(*block));
       std::vector<SidxTuple> survivors;
-      survivors.reserve(count);
       bool lost_tuple = false;
-      for (std::uint16_t i = 0; i < count; ++i) {
-        wire::SidxEntry entry;
-        if (!wire::ParseSidxEntry(&in, &entry)) {
-          sidx_status = Status::Corruption("bad SIDX block in fold");
-          break;
-        }
+      while (sidx_status.ok() && !decoder.done()) {
+        wire::IndexEntry entry;
+        sidx_status = decoder.Next(&entry);
+        if (!sidx_status.ok()) break;
         if (delta_keys.contains(entry.pkey.ToString())) {
           lost_tuple = true;
           ++removed;

@@ -6,11 +6,11 @@
 // into four scalars, so host-visible bytes scale with selectivity (or
 // stay constant), never with dataset size.
 //
-// Row collection deliberately reuses QueryPrimaryRange /
-// QuerySecondaryRange: pushdown scans inherit the delta merge with
-// tombstone suppression, the index-block cache, the two-slot prefetch
-// pipeline, and the deduped/coalesced gather fan-out for free, and any
-// future change to scan semantics applies to pushdown automatically.
+// Row collection deliberately reuses QueryRange, the one range scan:
+// pushdown scans inherit the delta merge with tombstone suppression, the
+// index-block cache, the two-slot prefetch pipeline, and the
+// deduped/coalesced gather fan-out for free, and any future change to
+// scan semantics applies to pushdown automatically.
 //
 // Filtering is the SoC work the host does not pay, and it is spread over
 // every SoC core: the collected rows are cut into fixed-size chunks, each
@@ -144,22 +144,18 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
 
   sim::TraceSpan span(sim_, trk_query_, aggregate ? "aggregate" : "select");
 
-  // The predicate can match anywhere in the scan range, so row collection
-  // runs unbounded (limit = 0); cmd.limit cuts *matches* below. Both scan
-  // paths return (primary key, full value) rows in a deterministic order:
-  // primary-key order for primary scans, (skey, pkey) order for
-  // index-driven ones — the order the aggregate accumulates in.
+  // A predicate can match anywhere in the scan range, so a predicated
+  // scan runs unbounded and cmd.limit cuts *matches* below; without one
+  // every row matches, so the scan itself stops at cmd.limit. Rows come
+  // back (primary key, full value) in a deterministic order: primary-key
+  // order for primary scans, (skey, pkey) order for index-driven ones —
+  // the order the aggregate accumulates in.
   std::vector<std::pair<std::string, std::string>> rows;
   const bool via_sidx = !cmd.sidx.name.empty();
-  if (via_sidx) {
-    KVCSD_CO_RETURN_IF_ERROR(co_await QuerySecondaryRange(
-        ks, cmd.sidx.name, cmd.key, cmd.key_end, /*limit=*/0, &rows,
-        sim::Activity::kPushdown));
-  } else {
-    KVCSD_CO_RETURN_IF_ERROR(co_await QueryPrimaryRange(
-        ks, cmd.key, cmd.key_end, /*limit=*/0, &rows,
-        sim::Activity::kPushdown));
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await QueryRange(
+      ks, via_sidx ? &cmd.sidx.name : nullptr, cmd.key, cmd.key_end,
+      cmd.pred.op == nvme::PredicateOp::kNone ? cmd.limit : 0, &rows,
+      sim::Activity::kPushdown));
   if (CrashPoint("select.mid_scan")) {
     co_return Status::IoError("simulated power loss (mid select scan)");
   }

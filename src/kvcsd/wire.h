@@ -31,10 +31,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/slice.h"
+#include "common/status.h"
 
 namespace kvcsd::device::wire {
 
@@ -125,10 +127,13 @@ inline KlogFrameResult ParseKlogFrame(Slice* in, Slice* payload) {
 
 // --- PIDX ---
 
-struct PidxEntry {
-  Slice key;
-  std::uint64_t vaddr;
-  std::uint32_t vlen;
+// One PIDX or SIDX entry as a reader decodes it; a PIDX entry leaves skey
+// empty. The slices alias the block the entry was parsed from.
+struct IndexEntry {
+  Slice skey;  // order-encoded secondary key
+  Slice pkey;
+  std::uint64_t vaddr = 0;
+  std::uint32_t vlen = 0;
 };
 
 inline std::size_t PidxEntrySize(const Slice& key) {
@@ -144,10 +149,11 @@ inline void AppendPidxEntry(std::string* out, const Slice& key,
   PutVarint32(out, vlen);
 }
 
-inline bool ParsePidxEntry(Slice* in, PidxEntry* out) {
+inline bool ParsePidxEntry(Slice* in, IndexEntry* out) {
   std::uint32_t klen = 0;
   if (!GetVarint32(in, &klen) || in->size() < klen) return false;
-  out->key = Slice(in->data(), klen);
+  out->skey = Slice();
+  out->pkey = Slice(in->data(), klen);
   in->remove_prefix(klen);
   return GetFixed64(in, &out->vaddr) && GetVarint32(in, &out->vlen);
 }
@@ -159,15 +165,8 @@ inline bool ParsePidxEntry(Slice* in, PidxEntry* out) {
 // primary key breaking ties. Readers depend on this — a secondary range
 // scan with a row limit cuts the result at the limit, so when many rows
 // share the boundary secondary key, the survivors are deterministically
-// the ones with the smallest primary keys. QueryPoint/QuerySecondaryRange
-// assert the invariant while parsing and fail Corruption on violation.
-struct SidxEntry {
-  Slice skey;  // order-encoded secondary key
-  Slice pkey;
-  std::uint64_t vaddr;
-  std::uint32_t vlen;
-};
-
+// the ones with the smallest primary keys. IndexBlockDecoder checks the
+// invariant on every block it decodes and fails Corruption on violation.
 inline std::size_t SidxEntrySize(const Slice& skey, const Slice& pkey) {
   return static_cast<std::size_t>(VarintLength(skey.size())) + skey.size() +
          static_cast<std::size_t>(VarintLength(pkey.size())) + pkey.size() +
@@ -185,7 +184,7 @@ inline void AppendSidxEntry(std::string* out, const Slice& skey,
   PutVarint32(out, vlen);
 }
 
-inline bool ParseSidxEntry(Slice* in, SidxEntry* out) {
+inline bool ParseSidxEntry(Slice* in, IndexEntry* out) {
   std::uint32_t sklen = 0;
   if (!GetVarint32(in, &sklen) || in->size() < sklen) return false;
   out->skey = Slice(in->data(), sklen);
@@ -203,23 +202,89 @@ inline void BeginIndexBlock(std::string* block) {
   PutFixed16(block, 0);  // patched by FinishIndexBlock
 }
 
-// Validates the block header before any entry is decoded: readers must
-// not trust a fetched block's bytes (injected errors and crashes can hand
-// them garbage). Returns false when the block is too small to hold its
-// own header; *entries then must not be read.
-inline bool OpenIndexBlock(const std::string& block, std::uint16_t* count,
-                           Slice* entries) {
-  if (block.size() < 2) return false;
-  *count = DecodeFixed16(block.data());
-  *entries = Slice(block.data() + 2, block.size() - 2);
-  return true;
-}
-
 inline void FinishIndexBlock(std::string* block, std::uint16_t count,
                              std::uint32_t block_size) {
   EncodeFixed16(block->data(), count);
   block->resize(block_size, '\0');
 }
+
+// --- reading index blocks ---
+
+enum class IndexKind : std::uint8_t { kPidx, kSidx };
+
+// The one index-block reader: decodes the blocks of one PIDX or SIDX
+// stream in stream order, and checks that every entry keeps the order the
+// writer emits — nondecreasing pkey for PIDX, (skey, pkey) for SIDX —
+// against the entry before it, across block boundaries too. A fetched
+// block's bytes are not trusted (injected errors and crashes can hand
+// garbage back, a corrupt sketch entry the wrong block), and a silent
+// order break would mis-cut a scan's `limit` or corrupt a fold's output:
+// an undersized block, a truncated entry and an order violation are all
+// Corruption. Entries decode one at a time, so a reader that stops early
+// (a point lookup, a scan past `hi`) decodes no further.
+class IndexBlockDecoder {
+ public:
+  explicit IndexBlockDecoder(IndexKind kind) : kind_(kind) {}
+  // prev_ may alias the decoder's own strings.
+  IndexBlockDecoder(const IndexBlockDecoder&) = delete;
+  IndexBlockDecoder& operator=(const IndexBlockDecoder&) = delete;
+
+  // Takes the stream's next block; Corruption when it is too small to
+  // hold its own header.
+  Status Open(std::string block) {
+    if (have_prev_) {
+      // The entry the new block continues must outlive its own block.
+      prev_skey_ = prev_.skey.ToString();
+      prev_pkey_ = prev_.pkey.ToString();
+      prev_.skey = prev_skey_;
+      prev_.pkey = prev_pkey_;
+    }
+    block_ = std::move(block);
+    left_ = 0;
+    if (block_.size() < 2) return Corrupt("block undersized");
+    left_ = DecodeFixed16(block_.data());
+    in_ = Slice(block_.data() + 2, block_.size() - 2);
+    return Status::Ok();
+  }
+
+  // Whether the open block has no entries left to decode.
+  bool done() const { return left_ == 0; }
+
+  // Decodes the open block's next entry (call only while !done()); it
+  // aliases the block until the next Open.
+  Status Next(IndexEntry* entry) {
+    const bool parsed = kind_ == IndexKind::kPidx
+                            ? ParsePidxEntry(&in_, entry)
+                            : ParseSidxEntry(&in_, entry);
+    if (!parsed) return Corrupt("entry truncated");
+    if (have_prev_ &&
+        (entry->skey < prev_.skey ||
+         (entry->skey == prev_.skey && entry->pkey < prev_.pkey))) {
+      return Corrupt("entries out of order");
+    }
+    prev_ = *entry;
+    have_prev_ = true;
+    --left_;
+    return Status::Ok();
+  }
+
+ private:
+  Status Corrupt(const char* what) {
+    left_ = 0;
+    std::string msg = kind_ == IndexKind::kPidx ? "PIDX " : "SIDX ";
+    msg += what;
+    return Status::Corruption(std::move(msg));
+  }
+
+  IndexKind kind_;
+  std::string block_;
+  Slice in_;               // the open block's undecoded entries
+  std::uint16_t left_ = 0;
+  IndexEntry prev_;        // the last entry decoded
+  bool have_prev_ = false;
+  std::string prev_skey_;  // prev_'s bytes once its block is replaced
+  std::string prev_pkey_;
+};
 
 // --- pushdown (kKvSelect / kKvAggregate) ---
 

@@ -195,8 +195,10 @@ TEST(PushdownParallelTest, AnswersDoNotDependOnCoreCount) {
 
 TEST(PushdownParallelTest, SelectCountersDoNotDependOnCoreCount) {
   const Outcome one = RunAt(1);
+  // The aggregate scans every key and the predicate-free selects scan
+  // the index range, but the limited one stops its scan at the limit.
   EXPECT_EQ(one.counters.at("device.select.rows_scanned"),
-            kKeys + 3 * one.full.size());
+            kKeys + 2 * one.full.size() + 1500);
   for (std::uint32_t cores : {2u, 4u}) {
     SCOPED_TRACE(cores);
     EXPECT_EQ(RunAt(cores).counters, one.counters);

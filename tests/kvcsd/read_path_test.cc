@@ -383,7 +383,7 @@ sim::Task<void> TiedQuery(client::Client* db, std::uint32_t limit,
 // When `limit` lands inside a run of rows sharing one secondary key, the
 // cut is deterministic: SIDX blocks are sorted by (skey, pkey), so the
 // survivors are always the smallest primary keys of the tie — identical
-// across cache, prefetch, and gather-fanout configurations.
+// across cache, bloom, and gather-fanout configurations.
 TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
   // 28-byte pad + f32, like the VPIC particle payload: keys 100..249
   // share tag 1.0, the rest carry distinct tags.
@@ -398,10 +398,9 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
 
   std::vector<std::pair<std::string, std::string>> reference;
   DeviceConfig configs[3];
-  configs[0] = SmallDevice();  // defaults: cache + bloom + prefetch + fanout 8
+  configs[0] = SmallDevice();  // defaults: cache + bloom + fanout 8
   configs[1] = SmallDevice();
   configs[1].gather_fanout = 1;
-  configs[1].index_prefetch = false;
   configs[2] = SmallDevice();
   configs[2].index_cache_enabled = false;
   configs[2].bloom_bits_per_key = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/crc32c.h"
 #include "common/keys.h"
 #include "kvcsd/device.h"
+#include "nvme/skey.h"
 #include "sim/fault.h"
 
 namespace kvcsd::device {
@@ -617,35 +619,162 @@ TEST(RecoveryTest, UnknownOpcodeRejected) {
       }(f.db.get(), f.qps.back().get()));
 }
 
-// An undersized index block (corrupt on-flash metadata) surfaces as
-// Corruption instead of an out-of-bounds read of the block header.
-TEST(RecoveryTest, CorruptIndexBlockReturnsCorruption) {
-  PowerCycleFixture f;
-  constexpr std::uint64_t kKeys = 200;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "corrupt", kKeys));
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
-    auto ks = co_await db->OpenKeyspace("corrupt");
-    KVCSD_CO_ASSERT_OK(ks);
-    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
-    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(f.db.get()));
+// Every reader of on-flash index blocks decodes them through the one
+// IndexBlockDecoder, so corrupt index metadata surfaces as Corruption from
+// each of them: never an out-of-bounds read of the block header, and never
+// entries out of order silently mis-cutting a scan or rewritten by a fold.
+enum class IndexReader : std::uint8_t {
+  kGet,             // point lookup: one PIDX block
+  kScan,            // primary range scan: PIDX stream
+  kSecondaryRange,  // secondary range query: SIDX stream
+  kSelect,          // index-driven pushdown Select: SIDX stream
+  kFold,            // delta fold: dirty-PIDX stream
+  kIndexBuild,      // separate CreateSecondaryIndex: full PIDX walk
+};
+enum class IndexDamage : std::uint8_t {
+  kUndersized,  // block_len = 1: shorter than the block header
+  kSwapped,     // two sketch entries' blocks swapped: order violation
+};
+struct CorruptIndexCase {
+  IndexReader reader;
+  IndexDamage damage;
+};
 
+std::string CaseName(const CorruptIndexCase& c) {
+  static const char* const kReaders[] = {"get",    "scan", "secondary_range",
+                                         "select", "fold", "index_build"};
+  std::string name = kReaders[static_cast<int>(c.reader)];
+  name += c.damage == IndexDamage::kUndersized ? "_undersized" : "_swapped";
+  return name;
+}
+void PrintTo(const CorruptIndexCase& c, std::ostream* os) {
+  *os << CaseName(c);
+}
+std::string CorruptIndexCaseName(
+    const ::testing::TestParamInfo<CorruptIndexCase>& info) {
+  return CaseName(info.param);
+}
+
+// value = 28 pad bytes + f32 tag (the VPIC layout); tags are distinct.
+std::string TaggedValue(std::uint64_t i) {
+  std::string v(28, 'p');
+  const float tag = static_cast<float>(i);
+  char buf[4];
+  std::memcpy(buf, &tag, 4);
+  v.append(buf, 4);
+  return v;
+}
+
+class CorruptIndexBlockRecoveryTest
+    : public ::testing::TestWithParam<CorruptIndexCase> {};
+
+TEST_P(CorruptIndexBlockRecoveryTest, ReturnsCorruption) {
+  const auto [reader, damage] = GetParam();
+  const bool reads_sidx = reader == IndexReader::kSecondaryRange ||
+                          reader == IndexReader::kSelect;
+  PowerCycleFixture f;
+  constexpr std::uint64_t kKeys = 400;
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             bool with_index) -> sim::Task<void> {
+    auto ks = co_await db->CreateKeyspace("corrupt");
+    KVCSD_CO_ASSERT_OK(ks);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), TaggedValue(i)));
+    }
+    if (with_index) {
+      nvme::SecondaryIndexSpec spec;
+      spec.name = "tag";
+      spec.value_offset = 28;
+      spec.value_length = 4;
+      spec.type = nvme::SecondaryKeyType::kF32;
+      std::vector<nvme::SecondaryIndexSpec> specs = {spec};
+      KVCSD_CO_ASSERT_OK(co_await ks->CompactWithIndexes(specs));
+    } else {
+      KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(f.db.get(), reader != IndexReader::kIndexBuild));
+
+  // Nothing has read an index block yet, so the DRAM block cache cannot
+  // mask the damage.
   auto corrupt = f.dev()->keyspaces().Find("corrupt");
   ASSERT_TRUE(corrupt.ok());
-  ASSERT_FALSE((*corrupt)->run.pidx_sketch.empty());
-  // Undersized: the header alone is 2 bytes.
-  (*corrupt)->run.pidx_sketch[0].block_len = 1;
+  std::vector<SketchEntry>& sketch =
+      reads_sidx ? (*corrupt)->run.secondary_indexes.at("tag").sketch
+                 : (*corrupt)->run.pidx_sketch;
+  ASSERT_GE(sketch.size(), 2u);
+  if (damage == IndexDamage::kUndersized) {
+    sketch[0].block_len = 1;  // the header alone is 2 bytes
+  } else {
+    std::swap(sketch[0].block_addr, sketch[1].block_addr);
+  }
 
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             IndexReader r) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("corrupt");
     KVCSD_CO_ASSERT_OK(ks);
-    auto got = co_await ks->Get(MakeFixedKey(0));
-    KVCSD_CO_ASSERT(got.status().code() == StatusCode::kCorruption);
     std::vector<std::pair<std::string, std::string>> rows;
-    Status scan = co_await ks->Scan("", "\x7f", 0, &rows);
-    KVCSD_CO_ASSERT(scan.code() == StatusCode::kCorruption);
-  }(f.db.get()));
+    Status got;
+    switch (r) {
+      case IndexReader::kGet:
+        got = (co_await ks->Get(MakeFixedKey(0))).status();
+        break;
+      case IndexReader::kScan:
+        got = co_await ks->Scan("", "\x7f", 0, &rows);
+        break;
+      case IndexReader::kSecondaryRange:
+        got = co_await ks->QuerySecondaryRangeF32("tag", 0.0f, 1e9f, 0,
+                                                  &rows);
+        break;
+      case IndexReader::kSelect: {
+        client::KeyspaceHandle::SelectOptions opts;
+        opts.index_name = "tag";
+        got = co_await ks->Select(nvme::EncodeSecondaryF32(0.0f),
+                                  nvme::EncodeSecondaryF32(1e9f), opts,
+                                  &rows);
+        break;
+      }
+      case IndexReader::kFold:
+        // Every tenth key overwritten: every PIDX block is dirty.
+        for (std::uint64_t i = 0; i < kKeys; i += 10) {
+          KVCSD_CO_ASSERT_OK(
+              co_await ks->Put(MakeFixedKey(i), TaggedValue(i + 1)));
+        }
+        KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+        got = co_await ks->WaitCompaction();
+        break;
+      case IndexReader::kIndexBuild:
+        got = co_await ks->CreateSecondaryIndexF32("tag", 28);
+        break;
+    }
+    KVCSD_CO_ASSERT(got.code() == StatusCode::kCorruption);
+  }(f.db.get(), reader));
+
+  // A failed job leaves the keyspace as it was: COMPACTED, no new index.
+  EXPECT_EQ((*corrupt)->state, KeyspaceState::kCompacted);
+  if (reader == IndexReader::kIndexBuild) {
+    EXPECT_FALSE((*corrupt)->run.secondary_indexes.contains("tag"));
+  }
 }
+
+// A point Get reads one block, whose own entries are in order however its
+// sketch entry was swapped; only the undersized block reaches it.
+INSTANTIATE_TEST_SUITE_P(
+    Readers, CorruptIndexBlockRecoveryTest,
+    ::testing::Values(
+        CorruptIndexCase{IndexReader::kGet, IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kScan, IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kScan, IndexDamage::kSwapped},
+        CorruptIndexCase{IndexReader::kSecondaryRange,
+                         IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kSecondaryRange, IndexDamage::kSwapped},
+        CorruptIndexCase{IndexReader::kSelect, IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kSelect, IndexDamage::kSwapped},
+        CorruptIndexCase{IndexReader::kFold, IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kFold, IndexDamage::kSwapped},
+        CorruptIndexCase{IndexReader::kIndexBuild, IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kIndexBuild, IndexDamage::kSwapped}),
+    CorruptIndexCaseName);
 
 }  // namespace
 }  // namespace kvcsd::device
