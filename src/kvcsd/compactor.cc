@@ -30,6 +30,13 @@
 // skipping the re-read at the cost of extra DRAM pressure). Fused per-spec
 // merges run concurrently in a TaskGroup.
 //
+// Values are never copied on their way through phase 2 or the index
+// build: a ValueBatch keeps the GatheredValues of its gather (views into
+// the range buffers it owns), WriteSortedValues appends straight from
+// those views, and fused and separate key extraction read them. The batch
+// travels through the channel whole, by unique_ptr, so the views move
+// with their bytes (DESIGN.md §10).
+//
 // Output: every index block any job writes (PIDX and SIDX, compaction,
 // index build and fold alike) goes through the one IndexBlockWriter, and
 // every sorted value through WriteSortedValues, so block boundaries,
@@ -214,7 +221,7 @@ sim::Task<Status> Device::IndexBlockWriter::Flush() {
 }
 
 sim::Task<Status> Device::WriteSortedValues(
-    std::vector<ClusterId>* chain, const std::vector<std::string>& values,
+    std::vector<ClusterId>* chain, const std::vector<Slice>& values,
     std::vector<std::uint64_t>* addrs, sim::Activity act,
     std::vector<ClusterId>* scratch) {
   addrs->assign(values.size(), 0);
@@ -242,7 +249,7 @@ sim::Task<Status> Device::WriteSortedValues(
         !chunk.empty()) {
       KVCSD_CO_RETURN_IF_ERROR(co_await flush(i));
     }
-    chunk += values[i];
+    chunk.append(values[i].data(), values[i].size());
   }
   co_return co_await flush(values.size());
 }
@@ -355,10 +362,11 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 
 // One unit of hand-off between the gather/write stage and the index-build
 // stage: a run of merged entries with their gathered values and the
-// addresses the values were rewritten to.
+// addresses the values were rewritten to. The values are views into
+// buffers the batch owns (see the header).
 struct Device::ValueBatch {
   std::vector<KlogEntry> entries;
-  std::vector<std::string> values;
+  GatheredValues values;
   std::vector<std::uint64_t> new_addrs;
   std::uint64_t value_bytes = 0;
 };
@@ -406,7 +414,7 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 
       for (std::size_t spec_index = 0; spec_index < pipe->specs->size();
            ++spec_index) {
-        auto skey = nvme::ExtractSecondaryKey(Slice(b.values[i]),
+        auto skey = nvme::ExtractSecondaryKey(b.values[i],
                                               (*pipe->specs)[spec_index]);
         if (!skey.ok()) co_return skey.status();
         SidxTuple tuple{std::move(*skey), e.key, b.new_addrs[i], e.value_len};
@@ -566,8 +574,8 @@ sim::Task<Status> Device::RunCompaction(
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
     b->values = std::move(*values);
     KVCSD_CO_RETURN_IF_ERROR(co_await WriteSortedValues(
-        &value_clusters, b->values, &b->new_addrs, sim::Activity::kCompact,
-        scratch));
+        &value_clusters, b->values.slices(), &b->new_addrs,
+        sim::Activity::kCompact, scratch));
 
     co_await batches.Push(std::move(b));
     co_return Status::Ok();
@@ -714,7 +722,7 @@ sim::Task<Status> Device::BuildSecondaryIndex(
     co_await cpu_.ComputeBytes(batch_bytes,
                                config_.costs.extract_bytes_per_sec, sim::Activity::kCompact);
     for (std::size_t i = 0; i < values->size(); ++i) {
-      auto skey = nvme::ExtractSecondaryKey(Slice((*values)[i]), spec);
+      auto skey = nvme::ExtractSecondaryKey((*values)[i], spec);
       if (!skey.ok()) co_return skey.status();
       SidxTuple tuple{std::move(*skey), batch_meta[i].first,
                       batch_meta[i].second, batch_lens[i]};
@@ -731,7 +739,7 @@ sim::Task<Status> Device::BuildSecondaryIndex(
   for (const SketchEntry& block_ref : ks->run.pidx_sketch) {
     auto block = co_await ReadIndexBlock(ks->id, block_ref, sim::Activity::kCompact);
     if (!block.ok()) co_return block.status();
-    KVCSD_CO_RETURN_IF_ERROR(decoder.Open(std::move(*block)));
+    KVCSD_CO_RETURN_IF_ERROR(decoder.Open(std::move(*block), block_ref.pivot));
     while (!decoder.done()) {
       wire::IndexEntry entry;
       KVCSD_CO_RETURN_IF_ERROR(decoder.Next(&entry));

@@ -535,14 +535,23 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       break;
     }
     case nvme::Opcode::kQueryPrimaryRange:
-    case nvme::Opcode::kQuerySecondaryRange:
+    case nvme::Opcode::kQuerySecondaryRange: {
+      // The rows leave the device here: the one place they become strings.
+      RangeRows scanned;
       out.status = co_await QueryRange(
           ks,
           cmd.opcode == nvme::Opcode::kQuerySecondaryRange ? &cmd.sidx.name
                                                            : nullptr,
-          cmd.key, cmd.key_end, cmd.limit, &out.results);
+          cmd.key, cmd.key_end, cmd.limit, &scanned);
+      if (out.status.ok()) {
+        out.results.reserve(scanned.rows.size());
+        for (const auto& [pkey, value] : scanned.rows) {
+          out.results.emplace_back(pkey.ToString(), value.ToString());
+        }
+      }
       out.count = out.results.size();
       break;
+    }
     case nvme::Opcode::kKvSelect:
     case nvme::Opcode::kKvAggregate:
       out.status = co_await QueryPushdown(ks, cmd, &out);

@@ -22,6 +22,7 @@
 // (sim/flight_recorder.h); the device does not own a ring of its own.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/slice.h"
 #include "common/status.h"
 #include "hostenv/cost_model.h"
 #include "kvcsd/index_cache.h"
@@ -127,6 +129,44 @@ inline bool SidxLess(const SidxTuple& a, const SidxTuple& b) {
   if (a.skey != b.skey) return a.skey < b.skey;
   return a.pkey < b.pkey;
 }
+
+// Values a gather read from flash, handed out as views: one heap buffer
+// per coalesced range read, and one Slice per requested ref, in request
+// order, into those buffers (duplicate refs share their bytes). The views
+// live as long as the GatheredValues; moving it keeps them valid, since a
+// range buffer is a heap array that never relocates. Copy a value out
+// (Slice::ToString) only where it must outlive its gather.
+class GatheredValues {
+ public:
+  std::size_t size() const { return values_.size(); }
+  const Slice& operator[](std::size_t i) const { return values_[i]; }
+  const std::vector<Slice>& slices() const { return values_; }
+
+ private:
+  friend class Device;
+  std::vector<std::unique_ptr<std::byte[]>> buffers_;
+  std::vector<Slice> values_;
+};
+
+// The rows of one range scan (Device::QueryRange): (pkey, value) views in
+// scan order. Run rows' keys are copied into `arena_` and their values
+// stay in the gather's buffers; delta rows are copied whole into the
+// arena, so the rows never alias the delta index, which a PUT or a fold
+// commit may change once the scan has returned. Moving a RangeRows keeps
+// every view valid.
+class RangeRows {
+ public:
+  struct Row {
+    Slice pkey;
+    Slice value;
+  };
+  std::vector<Row> rows;
+
+ private:
+  friend class Device;
+  std::vector<char> arena_;
+  GatheredValues values_;
+};
 
 // Compaction observability, cumulative across every compaction and
 // secondary-index build the device has run. Byte counters cover the
@@ -384,7 +424,7 @@ class Device {
   // address. The one sorted-value writer: compaction's batches and a
   // fold's delta values both go out through it.
   sim::Task<Status> WriteSortedValues(std::vector<ClusterId>* chain,
-                                      const std::vector<std::string>& values,
+                                      const std::vector<Slice>& values,
                                       std::vector<std::uint64_t>* addrs,
                                       sim::Activity act,
                                       std::vector<ClusterId>* scratch);
@@ -494,11 +534,11 @@ class Device {
   // order, at most `limit` of them (0 = no limit), with the run merged
   // with the delta index. `act` attributes the scan's flash reads and SoC
   // compute: host-read for client-issued scans, pushdown when
-  // QueryPushdown drives them.
+  // QueryPushdown drives them. The rows own their bytes (RangeRows): they
+  // stay valid after the scan's reader count is released.
   sim::Task<Status> QueryRange(
       Keyspace* ks, const std::string* index_name, const std::string& lo,
-      const std::string& hi, std::uint32_t limit,
-      std::vector<std::pair<std::string, std::string>>* out,
+      const std::string& hi, std::uint32_t limit, RangeRows* out,
       sim::Activity act = sim::Activity::kHostRead);
 
   // --- pushdown (select.cc) ---
@@ -538,6 +578,8 @@ class Device {
     bool done() const { return next_ >= blocks_.size(); }
     // The next block in list order (call only while !done()).
     sim::Task<Result<std::string>> Next();
+    // The sketch entry of the block Next last handed out.
+    const SketchEntry& current() const { return *blocks_[next_ - 1]; }
     // Awaits every read still in flight; returns how many were never
     // handed out (a scan cut short).
     sim::Task<std::uint64_t> Drain();
@@ -570,12 +612,13 @@ class Device {
   // Gathers values for (addr, len) requests: identical refs are deduped,
   // address-adjacent reads are coalesced into ranges, and the range reads
   // fan out across NAND channels (config_.gather_fanout inflight).
-  // Results are returned in request order regardless of I/O timing.
+  // Results are views in request order regardless of I/O timing, into
+  // range buffers the GatheredValues owns; no value is copied.
   struct ValueRef {
     std::uint64_t addr;
     std::uint32_t len;
   };
-  sim::Task<Result<std::vector<std::string>>> GatherValues(
+  sim::Task<Result<GatheredValues>> GatherValues(
       std::vector<ValueRef> refs,
       sim::Activity act = sim::Activity::kHostRead);
 

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -170,8 +171,9 @@ struct Keyspace {
   // COMPACTED-phase delta (DESIGN.md §12): newest mutation per key across
   // the sealed and live generations, rebuilt from the klog/vlog delta
   // chains at recovery. Number of non-tombstone entries is tracked in
-  // delta_live.
-  std::map<std::string, DeltaEntry> delta_index;
+  // delta_live. Transparent lookups: a decoded key view probes it without
+  // a copy.
+  std::map<std::string, DeltaEntry, std::less<>> delta_index;
   std::uint64_t delta_live = 0;
   // Approximate DRAM footprint of delta_index (key + inline value bytes
   // plus a fixed per-entry overhead), maintained by every mutation and

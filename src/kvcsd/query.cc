@@ -18,6 +18,15 @@
 //   - GatherValues dedupes identical refs, coalesces address-adjacent
 //     reads, and fans the coalesced ranges out across NAND channels.
 //
+// Zero-copy values (DESIGN.md §10): GatherValues returns views into its
+// range buffers (GatheredValues), and QueryRange returns views into a
+// RangeRows that owns those buffers plus an arena with the run rows' keys
+// and copies of the delta rows. The rows outlive the scan's ReaderGuard,
+// so they must never point into the delta index: once QueryRange
+// returns, a PUT may rewrite a DeltaEntry and a fold commit may clear the
+// map. A value becomes a std::string only where it leaves the device or
+// outlives its gather (QueryPoint, LoadDeltaValue, completion rows).
+//
 // Mutability (DESIGN.md §12): a COMPACTED keyspace carries a delta index
 // of post-compaction mutations. Point lookups consult it first (it is
 // strictly newer than the run); range scans two-way merge the sorted run
@@ -182,36 +191,43 @@ sim::Task<void> Device::DrainScan(IndexBlockStream* blocks) {
   if (wasted > 0) stats().counter("device.prefetch.wasted").Add(wasted);
 }
 
-sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
+sim::Task<Result<GatheredValues>> Device::GatherValues(
     std::vector<ValueRef> refs, sim::Activity act) {
-  std::vector<std::string> out(refs.size());
-  if (refs.empty()) co_return out;
+  GatheredValues out;
+  out.values_.resize(refs.size());
+  if (refs.empty()) co_return std::move(out);
 
-  std::vector<std::size_t> order(refs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&refs](std::size_t a, std::size_t b) {
-    if (refs[a].addr != refs[b].addr) return refs[a].addr < refs[b].addr;
-    if (refs[a].len != refs[b].len) return refs[a].len < refs[b].len;
-    return a < b;
-  });
+  // The refs in (addr, len, request index) order. A PIDX scan asks in
+  // address order already, so the sort is usually skipped.
+  struct Req {
+    std::uint64_t addr;
+    std::uint32_t len;
+    std::size_t index;
+  };
+  std::vector<Req> reqs;
+  reqs.reserve(refs.size());
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    reqs.push_back(Req{refs[i].addr, refs[i].len, i});
+  }
+  auto by_extent = [](const Req& a, const Req& b) {
+    return std::tie(a.addr, a.len, a.index) < std::tie(b.addr, b.len, b.index);
+  };
+  if (!std::is_sorted(reqs.begin(), reqs.end(), by_extent)) {
+    std::sort(reqs.begin(), reqs.end(), by_extent);
+  }
 
   // Dedupe identical (addr, len) refs: repeated hits on the same value
   // (e.g. retried point gets batched together) must not issue redundant
   // flash reads or break a coalesced range at the size limit.
-  std::vector<std::size_t> uniq;  // indexes into refs, one per distinct ref
-  std::vector<std::size_t> owner(refs.size());  // refs index -> uniq slot
-  uniq.reserve(order.size());
-  std::uint64_t dup_refs = 0;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const ValueRef& r = refs[order[k]];
-    if (uniq.empty() || refs[uniq.back()].addr != r.addr ||
-        refs[uniq.back()].len != r.len) {
-      uniq.push_back(order[k]);
-    } else {
-      ++dup_refs;
+  std::vector<std::size_t> uniq;  // first reqs index of each distinct ref
+  uniq.reserve(reqs.size());
+  for (std::size_t k = 0; k < reqs.size(); ++k) {
+    if (k == 0 || reqs[k].addr != reqs[k - 1].addr ||
+        reqs[k].len != reqs[k - 1].len) {
+      uniq.push_back(k);
     }
-    owner[order[k]] = uniq.size() - 1;
   }
+  const std::uint64_t dup_refs = reqs.size() - uniq.size();
 
   // Coalesce distinct refs into ranges whose gap stays below a page, that
   // stay inside one zone, and that stay under 1 MiB. Plain CPU work: the
@@ -229,12 +245,12 @@ sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
   std::vector<Range> ranges;
   std::size_t i = 0;
   while (i < uniq.size()) {
-    const std::uint64_t range_start = refs[uniq[i]].addr;
+    const std::uint64_t range_start = reqs[uniq[i]].addr;
     const std::uint64_t zone_end = (range_start / zone_size + 1) * zone_size;
-    std::uint64_t range_end = range_start + refs[uniq[i]].len;
+    std::uint64_t range_end = range_start + reqs[uniq[i]].len;
     std::size_t j = i + 1;
     while (j < uniq.size()) {
-      const ValueRef& next = refs[uniq[j]];
+      const Req& next = reqs[uniq[j]];
       const std::uint64_t next_end = next.addr + next.len;
       if (next.addr > range_end + kMaxGap) break;
       if (next_end > zone_end) break;
@@ -250,31 +266,36 @@ sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
   stats().counter("device.gather.dup_refs").Add(dup_refs);
   stats().counter("device.gather.ranges").Add(ranges.size());
 
-  // Fan the range reads out with a bounded inflight. Each worker writes
-  // disjoint uniq_values slots, so results are independent of completion
-  // order — parallelism changes timing, never contents.
-  std::vector<std::string> uniq_values(uniq.size());
+  // One buffer per range, allocated before any read so every ref's view
+  // can point into it at once; duplicates share their first's bytes.
+  out.buffers_.reserve(ranges.size());
+  for (const Range& range : ranges) {
+    out.buffers_.push_back(
+        std::make_unique_for_overwrite<std::byte[]>(range.end - range.start));
+    const char* base = reinterpret_cast<const char*>(out.buffers_.back().get());
+    const std::size_t reqs_end =
+        range.last < uniq.size() ? uniq[range.last] : reqs.size();
+    for (std::size_t k = uniq[range.first]; k < reqs_end; ++k) {
+      out.values_[reqs[k].index] =
+          Slice(base + (reqs[k].addr - range.start), reqs[k].len);
+    }
+  }
+
+  // Fan the range reads out with a bounded inflight. Each worker fills
+  // its own buffer, so results are independent of completion order —
+  // parallelism changes timing, never contents.
   auto read_range = [&](std::size_t r) -> sim::Task<Status> {
     const Range& range = ranges[r];
-    std::string buffer(range.end - range.start, '\0');
     co_await cpu_.Compute(config_.costs.io_path_overhead, act);
-    KVCSD_CO_RETURN_IF_ERROR(co_await ssd_.Read(
+    co_return co_await ssd_.Read(
         range.start,
-        std::span<std::byte>(reinterpret_cast<std::byte*>(buffer.data()),
-                             buffer.size()),
-        act));
-    for (std::size_t u = range.first; u < range.last; ++u) {
-      const ValueRef& ref = refs[uniq[u]];
-      uniq_values[u] = buffer.substr(ref.addr - range.start, ref.len);
-    }
-    co_return Status::Ok();
+        std::span<std::byte>(out.buffers_[r].get(), range.end - range.start),
+        act);
   };
   KVCSD_CO_RETURN_IF_ERROR(co_await sim::ParallelFor(
       sim_, ranges.size(), std::max<std::uint32_t>(config_.gather_fanout, 1),
       read_range));
-
-  for (std::size_t k = 0; k < refs.size(); ++k) out[k] = uniq_values[owner[k]];
-  co_return out;
+  co_return std::move(out);
 }
 
 sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
@@ -341,7 +362,8 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   auto block = co_await ReadIndexBlock(ks->id, ks->run.pidx_sketch[pos]);
   if (!block.ok()) co_return block.status();
   wire::IndexBlockDecoder decoder(wire::IndexKind::kPidx);
-  KVCSD_CO_RETURN_IF_ERROR(decoder.Open(std::move(*block)));
+  KVCSD_CO_RETURN_IF_ERROR(
+      decoder.Open(std::move(*block), ks->run.pidx_sketch[pos].pivot));
   while (!decoder.done()) {
     wire::IndexEntry entry;
     KVCSD_CO_RETURN_IF_ERROR(decoder.Next(&entry));
@@ -351,7 +373,7 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
       auto values = co_await GatherValues(std::move(one));
       if (!values.ok()) co_return values.status();
       span.Arg("src", "run");
-      co_return std::move((*values)[0]);
+      co_return (*values)[0].ToString();
     }
     if (Slice(key) < entry.pkey) break;  // sorted: key is absent
   }
@@ -364,9 +386,9 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
 
 sim::Task<Status> Device::QueryRange(
     Keyspace* ks, const std::string* index_name, const std::string& lo,
-    const std::string& hi, std::uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out,
+    const std::string& hi, std::uint32_t limit, RangeRows* out,
     sim::Activity act) {
+  *out = RangeRows();
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
   ReaderGuard reader(ks, &Runtime(ks).readers_idle);
   const SecondaryIndex* sidx = nullptr;
@@ -381,17 +403,29 @@ sim::Task<Status> Device::QueryRange(
   // Both sides of the merge are ordered by (skey, pkey); PIDX rows leave
   // skey empty, so they order by pkey alone. A PIDX delta row reads its
   // entry when it is merged and gathered, as the delta stands then; a SIDX
-  // delta row carries the value it was loaded with.
+  // delta row carries the value it was loaded with. `pkey` views the delta
+  // map's key, and `entry` its node: both stay valid across awaits, since
+  // the map is node-based and the commit that clears it drains
+  // active_readers first. Nothing in `out` may alias them, though: the
+  // reader count ends when this scan returns.
   struct DeltaRow {
     std::string skey;
-    std::string pkey;
+    Slice pkey;
     const DeltaEntry* entry = nullptr;  // PIDX
     std::string value;                  // SIDX
   };
+  // A run row's skey and pkey bytes sit back to back in out->arena_ from
+  // `off`; the decoded block they came from is gone by the merge.
   struct RunRow {
-    std::string skey;
-    std::string pkey;
+    std::size_t off;
+    std::uint32_t skey_len;
+    std::uint32_t pkey_len;
     ValueRef ref;
+  };
+  std::vector<char>& arena = out->arena_;
+  // A view of arena bytes (never a null pointer, even when empty).
+  auto arena_at = [&arena](std::size_t off, std::size_t len) {
+    return len == 0 ? Slice() : Slice(arena.data() + off, len);
   };
   std::vector<DeltaRow> delta;
   // Extra run rows to collect so the merge can still fill `limit` after
@@ -399,12 +433,10 @@ sim::Task<Status> Device::QueryRange(
   std::uint32_t scan_limit = limit;
   if (sidx == nullptr) {
     // The in-range slice of the delta, already key-ordered. Every in-range
-    // tombstone can suppress one run row. DeltaEntry pointers stay valid
-    // across awaits: the map is node-based and the commit that clears it
-    // drains active_readers first.
+    // tombstone can suppress one run row.
     for (auto it = ks->delta_index.lower_bound(lo);
          it != ks->delta_index.end() && it->first <= hi; ++it) {
-      delta.push_back(DeltaRow{{}, it->first, &it->second, {}});
+      delta.push_back(DeltaRow{{}, Slice(it->first), &it->second, {}});
       if (limit != 0 && it->second.tombstone) ++scan_limit;
     }
   } else {
@@ -423,11 +455,12 @@ sim::Task<Status> Device::QueryRange(
       if (!skey.ok()) co_return skey.status();
       if (*skey < lo || hi < *skey) continue;
       delta.push_back(
-          DeltaRow{std::move(*skey), pkey, nullptr, std::move(*value)});
+          DeltaRow{std::move(*skey), Slice(pkey), nullptr, std::move(*value)});
     }
     std::sort(delta.begin(), delta.end(),
               [](const DeltaRow& a, const DeltaRow& b) {
-                return std::tie(a.skey, a.pkey) < std::tie(b.skey, b.pkey);
+                const int c = Slice(a.skey).compare(Slice(b.skey));
+                return c != 0 ? c < 0 : a.pkey < b.pkey;
               });
   }
 
@@ -449,8 +482,9 @@ sim::Task<Status> Device::QueryRange(
   bool cut = false;
   while (!cut && !blocks.done()) {
     Result<std::string> block = co_await blocks.Next();
-    scan_status = block.ok() ? decoder.Open(std::move(*block))
-                             : block.status();
+    scan_status = block.ok()
+                      ? decoder.Open(std::move(*block), blocks.current().pivot)
+                      : block.status();
     while (scan_status.ok() && !cut && !decoder.done()) {
       wire::IndexEntry entry;
       scan_status = decoder.Next(&entry);
@@ -459,11 +493,18 @@ sim::Task<Status> Device::QueryRange(
       if (range_key < Slice(lo)) continue;
       cut = Slice(hi) < range_key;
       if (cut) break;
-      if (sidx != nullptr && ks->delta_index.contains(entry.pkey.ToString())) {
+      if (sidx != nullptr && !ks->delta_index.empty() &&
+          ks->delta_index.contains(entry.pkey.view())) {
         continue;  // stale: this row was overwritten or deleted
       }
-      run.push_back(RunRow{entry.skey.ToString(), entry.pkey.ToString(),
+      run.push_back(RunRow{arena.size(),
+                           static_cast<std::uint32_t>(entry.skey.size()),
+                           static_cast<std::uint32_t>(entry.pkey.size()),
                            ValueRef{entry.vaddr, entry.vlen}});
+      arena.insert(arena.end(), entry.skey.data(),
+                   entry.skey.data() + entry.skey.size());
+      arena.insert(arena.end(), entry.pkey.data(),
+                   entry.pkey.data() + entry.pkey.size());
       cut = scan_limit != 0 && run.size() >= scan_limit;
     }
     if (!scan_status.ok()) break;
@@ -473,11 +514,10 @@ sim::Task<Status> Device::QueryRange(
 
   // Two-way merge cut at `limit`: on a tie the delta row replaces the
   // run row (it is strictly newer), a delta tombstone emits nothing, and
-  // delta-only rows slot into order.
+  // delta-only rows slot into order. The arena no longer grows here.
   struct Row {
-    std::string pkey;
-    ValueRef ref{0, 0};
-    DeltaRow* delta = nullptr;  // null for a run row
+    const RunRow* run = nullptr;      // exactly one of the two is set
+    const DeltaRow* delta = nullptr;
   };
   std::vector<Row> rows;
   rows.reserve(run.size() + delta.size());
@@ -485,55 +525,82 @@ sim::Task<Status> Device::QueryRange(
   std::size_t di = 0;
   while ((ri < run.size() || di < delta.size()) &&
          (limit == 0 || rows.size() < limit)) {
-    const bool run_left = ri < run.size();
-    if (di < delta.size() &&
-        (!run_left || std::tie(delta[di].skey, delta[di].pkey) <=
-                          std::tie(run[ri].skey, run[ri].pkey))) {
-      DeltaRow& d = delta[di++];
-      if (run_left && d.skey == run[ri].skey && d.pkey == run[ri].pkey) {
-        ++ri;  // the run row is stale
+    int c = -1;  // delta row vs run row; a lone delta row goes first
+    if (di < delta.size() && ri < run.size()) {
+      const RunRow& r = run[ri];
+      c = Slice(delta[di].skey).compare(arena_at(r.off, r.skey_len));
+      if (c == 0) {
+        c = delta[di].pkey.compare(arena_at(r.off + r.skey_len, r.pkey_len));
       }
+    }
+    if (di < delta.size() && (ri >= run.size() || c <= 0)) {
+      const DeltaRow& d = delta[di++];
+      if (c == 0) ++ri;  // the run row is stale
       if (d.entry != nullptr && d.entry->tombstone) continue;
-      rows.push_back(Row{std::move(d.pkey), ValueRef{0, 0}, &d});
+      rows.push_back(Row{nullptr, &d});
     } else {
-      rows.push_back(Row{std::move(run[ri].pkey), run[ri].ref, nullptr});
-      ++ri;
+      rows.push_back(Row{&run[ri++], nullptr});
     }
   }
 
   // One batched gather covers everything that lives on flash: run values
   // plus PIDX delta values that only survive as VLOG pointers after a
-  // power cycle. Inline delta values copy straight from DRAM.
+  // power cycle. Inline delta values are copied from DRAM below.
+  constexpr std::size_t kNoSlot = ~std::size_t{0};
   std::vector<ValueRef> refs;
-  std::vector<std::size_t> ref_slot;
+  std::vector<std::size_t> slot(rows.size(), kNoSlot);  // row -> refs index
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const DeltaRow* d = rows[r].delta;
     if (d == nullptr) {
-      refs.push_back(rows[r].ref);
+      refs.push_back(rows[r].run->ref);
     } else if (d->entry != nullptr && !d->entry->has_value &&
                d->entry->vlen > 0) {
       refs.push_back(ValueRef{d->entry->vaddr, d->entry->vlen});
     } else {
       continue;
     }
-    ref_slot.push_back(r);
+    slot[r] = refs.size() - 1;
   }
   auto values = co_await GatherValues(std::move(refs), act);
   if (!values.ok()) co_return values.status();
-  std::vector<std::string> vals(rows.size());
-  for (std::size_t k = 0; k < ref_slot.size(); ++k) {
-    vals[ref_slot[k]] = std::move((*values)[k]);
+  out->values_ = std::move(*values);
+
+  // Delta rows leave with copies of their key and value bytes, taken
+  // after the gather as the delta stands now. The arena is sized for all
+  // of them first, so no append moves the bytes a view points at.
+  auto dram_value = [](const DeltaRow& d) -> const std::string* {
+    if (d.entry == nullptr) return &d.value;
+    return d.entry->has_value ? &d.entry->value : nullptr;
+  };
+  std::size_t delta_bytes = 0;
+  for (const Row& row : rows) {
+    if (row.delta == nullptr) continue;
+    delta_bytes += row.delta->pkey.size();
+    if (const std::string* v = dram_value(*row.delta)) delta_bytes += v->size();
   }
-  out->reserve(out->size() + rows.size());
+  arena.reserve(arena.size() + delta_bytes);
+  auto copy = [&](const Slice& bytes) {
+    const std::size_t off = arena.size();
+    arena.insert(arena.end(), bytes.data(), bytes.data() + bytes.size());
+    return arena_at(off, bytes.size());
+  };
+  out->rows.reserve(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (DeltaRow* d = rows[r].delta; d != nullptr) {
-      if (d->entry == nullptr) {
-        vals[r] = std::move(d->value);
-      } else if (d->entry->has_value) {
-        vals[r] = d->entry->value;
-      }
+    if (const RunRow* run_row = rows[r].run; run_row != nullptr) {
+      out->rows.push_back(RangeRows::Row{
+          arena_at(run_row->off + run_row->skey_len, run_row->pkey_len),
+          out->values_[slot[r]]});
+      continue;
     }
-    out->emplace_back(std::move(rows[r].pkey), std::move(vals[r]));
+    const DeltaRow& d = *rows[r].delta;
+    const Slice pkey = copy(d.pkey);
+    Slice value;
+    if (const std::string* v = dram_value(d)) {
+      value = copy(*v);
+    } else if (slot[r] != kNoSlot) {
+      value = out->values_[slot[r]];
+    }
+    out->rows.push_back(RangeRows::Row{pkey, value});
   }
   co_return Status::Ok();
 }

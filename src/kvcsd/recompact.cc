@@ -55,6 +55,7 @@
 // A crash anywhere leaves either the old state (both generations pending)
 // or the new state (sealed generation folded) — never a blend.
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -98,7 +99,7 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
   one.push_back(ValueRef{entry.vaddr, entry.vlen});
   auto values = co_await GatherValues(std::move(one), act);
   if (!values.ok()) co_return values.status();
-  co_return std::move((*values)[0]);
+  co_return (*values)[0].ToString();
 }
 
 sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
@@ -145,32 +146,31 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     auto values = co_await GatherValues(std::move(refs), sim::Activity::kRecompact);
     if (!values.ok()) co_return values.status();
     for (std::size_t i = 0; i < ref_slot.size(); ++i) {
-      items[ref_slot[i]].value = std::move((*values)[i]);
+      items[ref_slot[i]].value = (*values)[i].ToString();
     }
   }
 
   // ---- Re-append live delta values in key order to fresh clusters ----
   std::vector<ClusterId> new_value_clusters;
   {
-    // The live values move out for the write and back after it.
-    std::vector<std::string> values;
+    // The write reads the live values in place; `items` is complete, so
+    // no item moves while the views are held.
+    std::vector<Slice> values;
     std::vector<std::size_t> value_items;
     std::uint64_t value_bytes = 0;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (items[i].tombstone) continue;
       value_bytes += items[i].value.size();
-      values.push_back(std::move(items[i].value));
+      values.push_back(Slice(items[i].value));
       value_items.push_back(i);
     }
     std::vector<std::uint64_t> addrs;
-    const Status written =
+    KVCSD_CO_RETURN_IF_ERROR(
         co_await WriteSortedValues(&new_value_clusters, values, &addrs,
-                                   sim::Activity::kRecompact, scratch);
+                                   sim::Activity::kRecompact, scratch));
     for (std::size_t k = 0; k < value_items.size(); ++k) {
-      items[value_items[k]].value = std::move(values[k]);
       items[value_items[k]].new_addr = addrs[k];
     }
-    KVCSD_CO_RETURN_IF_ERROR(written);
     co_await cpu_.ComputeBytes(value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
   }
@@ -270,7 +270,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       break;
     }
     compaction_stats_.bytes_read += old_sketch[pos].block_len;
-    pidx_status = pidx_decoder.Open(std::move(*block));
+    pidx_status = pidx_decoder.Open(std::move(*block), old_sketch[pos].pivot);
     std::vector<wire::IndexEntry> old_recs;
     while (pidx_status.ok() && !pidx_decoder.done()) {
       wire::IndexEntry rec;
@@ -303,7 +303,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // ---- SIDX fold: stream all blocks, rewrite only dirty regions ----
   // Every delta key's old tuple (if any) is stale: a tombstone removes
   // it, an overwrite re-points it (and may change its secondary key).
-  std::set<std::string> delta_keys;
+  std::set<std::string, std::less<>> delta_keys;
   for (const FoldItem& item : items) delta_keys.insert(item.key);
 
   struct SidxFold {
@@ -417,14 +417,14 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         break;
       }
       compaction_stats_.bytes_read += sketch[pos].block_len;
-      sidx_status = decoder.Open(std::move(*block));
+      sidx_status = decoder.Open(std::move(*block), sketch[pos].pivot);
       std::vector<SidxTuple> survivors;
       bool lost_tuple = false;
       while (sidx_status.ok() && !decoder.done()) {
         wire::IndexEntry entry;
         sidx_status = decoder.Next(&entry);
         if (!sidx_status.ok()) break;
-        if (delta_keys.contains(entry.pkey.ToString())) {
+        if (delta_keys.contains(entry.pkey.view())) {
           lost_tuple = true;
           ++removed;
           continue;

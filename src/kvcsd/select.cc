@@ -17,6 +17,13 @@
 // charged on whichever core is free. The predicate, projection and fold
 // themselves still run once, in scan order, so the answer (the aggregate
 // sum included) does not depend on the core count.
+//
+// Ownership (DESIGN.md §13): the filter reads views into the scan's
+// RangeRows and makes strings only for the rows a Select returns. The
+// filter awaits the SoC cores after QueryRange has released its reader
+// count, so a PUT or a fold commit can change the delta index meanwhile;
+// the answer is still the rows as scanned, because RangeRows owns copies
+// of its delta rows and never aliases the delta index.
 #include <algorithm>
 #include <bit>
 
@@ -150,12 +157,15 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
   // back (primary key, full value) in a deterministic order: primary-key
   // order for primary scans, (skey, pkey) order for index-driven ones —
   // the order the aggregate accumulates in.
-  std::vector<std::pair<std::string, std::string>> rows;
+  // Views into bytes `scanned` owns: valid across the filter's await (see
+  // the header on ownership).
+  RangeRows scanned;
   const bool via_sidx = !cmd.sidx.name.empty();
   KVCSD_CO_RETURN_IF_ERROR(co_await QueryRange(
       ks, via_sidx ? &cmd.sidx.name : nullptr, cmd.key, cmd.key_end,
-      cmd.pred.op == nvme::PredicateOp::kNone ? cmd.limit : 0, &rows,
+      cmd.pred.op == nvme::PredicateOp::kNone ? cmd.limit : 0, &scanned,
       sim::Activity::kPushdown));
+  const std::vector<RangeRows::Row>& rows = scanned.rows;
   if (CrashPoint("select.mid_scan")) {
     co_return Status::IoError("simulated power loss (mid select scan)");
   }
@@ -172,7 +182,7 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     const std::size_t begin = c * kFilterChunkRows;
     const std::size_t end = std::min(rows.size(), begin + kFilterChunkRows);
     std::uint64_t bytes = 0;
-    for (std::size_t i = begin; i < end; ++i) bytes += rows[i].second.size();
+    for (std::size_t i = begin; i < end; ++i) bytes += rows[i].value.size();
     bytes_scanned += bytes;
     co_await cpu_.Compute(
         TransferTicks(bytes, config_.costs.extract_bytes_per_sec) +
@@ -193,10 +203,10 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
   std::uint64_t short_values = 0;
   std::uint64_t bytes_returned = 0;
   Status verdict = Status::Ok();
-  for (auto& [key, value] : rows) {
+  for (const auto& [key, value] : rows) {
     if (cmd.pred.op != nvme::PredicateOp::kNone) {
       Slice attr;
-      if (!wire::ExtractAttribute(Slice(value), cmd.pred.value_offset,
+      if (!wire::ExtractAttribute(value, cmd.pred.value_offset,
                                   cmd.pred.value_length, &attr)) {
         ++short_values;  // too short to hold the attribute: never matches
         continue;
@@ -214,7 +224,7 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     if (aggregate) {
       if (cmd.agg.func != nvme::AggregateFunc::kCount) {
         Slice attr;
-        if (!wire::ExtractAttribute(Slice(value), cmd.agg.value_offset,
+        if (!wire::ExtractAttribute(value, cmd.agg.value_offset,
                                     cmd.agg.value_length, &attr)) {
           ++short_values;  // counted in rows, excluded from min/max/sum
         } else {
@@ -230,13 +240,12 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
         }
       }
     } else {
-      Slice projected =
-          cmd.proj.enabled
-              ? wire::ClampProjection(Slice(value), cmd.proj.offset,
-                                      cmd.proj.length)
-              : Slice(value);
+      const Slice projected =
+          cmd.proj.enabled ? wire::ClampProjection(value, cmd.proj.offset,
+                                                   cmd.proj.length)
+                           : value;
       bytes_returned += key.size() + projected.size();
-      out->results.emplace_back(std::move(key), projected.ToString());
+      out->results.emplace_back(key.ToString(), projected.ToString());
     }
     if (cmd.limit != 0 && matched >= cmd.limit) break;
   }

@@ -220,8 +220,12 @@ enum class IndexKind : std::uint8_t { kPidx, kSidx };
 // garbage back, a corrupt sketch entry the wrong block), and a silent
 // order break would mis-cut a scan's `limit` or corrupt a fold's output:
 // an undersized block, a truncated entry and an order violation are all
-// Corruption. Entries decode one at a time, so a reader that stops early
-// (a point lookup, a scan past `hi`) decodes no further.
+// Corruption. So is a block whose first entry differs from the sketch
+// pivot it was reached through (IndexBlockWriter makes every pivot its
+// block's first key: pkey for PIDX, skey for SIDX), which catches a sketch
+// entry pointing at another valid block even when one block is read alone,
+// as a point lookup does. Entries decode one at a time, so a reader that
+// stops early (a point lookup, a scan past `hi`) decodes no further.
 class IndexBlockDecoder {
  public:
   explicit IndexBlockDecoder(IndexKind kind) : kind_(kind) {}
@@ -229,9 +233,10 @@ class IndexBlockDecoder {
   IndexBlockDecoder(const IndexBlockDecoder&) = delete;
   IndexBlockDecoder& operator=(const IndexBlockDecoder&) = delete;
 
-  // Takes the stream's next block; Corruption when it is too small to
-  // hold its own header.
-  Status Open(std::string block) {
+  // Takes the stream's next block, reached through the sketch entry whose
+  // pivot is `pivot` (it must outlive the block's first Next); Corruption
+  // when it is too small to hold its own header.
+  Status Open(std::string block, const Slice& pivot) {
     if (have_prev_) {
       // The entry the new block continues must outlive its own block.
       prev_skey_ = prev_.skey.ToString();
@@ -240,6 +245,8 @@ class IndexBlockDecoder {
       prev_.pkey = prev_pkey_;
     }
     block_ = std::move(block);
+    pivot_ = pivot;
+    first_ = true;
     left_ = 0;
     if (block_.size() < 2) return Corrupt("block undersized");
     left_ = DecodeFixed16(block_.data());
@@ -257,6 +264,12 @@ class IndexBlockDecoder {
                             ? ParsePidxEntry(&in_, entry)
                             : ParseSidxEntry(&in_, entry);
     if (!parsed) return Corrupt("entry truncated");
+    if (first_) {
+      first_ = false;
+      const Slice& range_key =
+          kind_ == IndexKind::kPidx ? entry->pkey : entry->skey;
+      if (range_key != pivot_) return Corrupt("block does not match its pivot");
+    }
     if (have_prev_ &&
         (entry->skey < prev_.skey ||
          (entry->skey == prev_.skey && entry->pkey < prev_.pkey))) {
@@ -279,6 +292,8 @@ class IndexBlockDecoder {
   IndexKind kind_;
   std::string block_;
   Slice in_;               // the open block's undecoded entries
+  Slice pivot_;            // the open block's sketch pivot
+  bool first_ = false;     // the open block's first entry is next
   std::uint16_t left_ = 0;
   IndexEntry prev_;        // the last entry decoded
   bool have_prev_ = false;

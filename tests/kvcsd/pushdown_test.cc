@@ -3,12 +3,15 @@
 // happy paths plus the edge cases the wire format makes possible:
 // predicates over values too short to hold the attribute, projections past
 // the value end, aggregates over zero matches, pushdown against a keyspace
-// with a live delta (tombstones must not count), and a power cut in the
-// middle of a select scan.
+// with a live delta (tombstones must not count), a PUT and a fold commit
+// landing while a select's filter runs, and a power cut in the middle of a
+// select scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -473,6 +476,151 @@ TEST(PushdownTest, RejectsMalformedDescriptors) {
     agg = co_await ks.Aggregate("", "\x7f", bytes_sum);
     KVCSD_CO_ASSERT(agg.status().code() == StatusCode::kInvalidArgument);
   }(&f.db));
+}
+
+// --------------------------------------------------------------------------
+// Edge case: the scan's rows outlive its reader count. QueryPushdown's
+// filter awaits the SoC cores after the range scan has returned, so a PUT
+// can rewrite a delta entry and a fold commit can drop the whole delta
+// index in that window. The answer must be the rows as scanned: the rows
+// own their bytes and never alias the delta.
+// --------------------------------------------------------------------------
+
+// EnergyValue(energy) padded to `size` bytes: big values make one filter
+// chunk (fewer than 1024 rows) hold one SoC core for milliseconds while
+// the other three run the fold.
+std::string PaddedEnergyValue(float energy, std::size_t size) {
+  std::string v = CsdFixture::EnergyValue(energy);
+  v.resize(size, 'q');
+  return v;
+}
+
+void RunScanLifetimeRace(bool via_sidx, bool aggregate) {
+  SCOPED_TRACE(std::string(via_sidx ? "sidx " : "primary ") +
+               (aggregate ? "aggregate" : "select"));
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](CsdFixture* fx, bool sidx,
+                             bool agg) -> sim::Task<void> {
+    constexpr std::uint64_t kKeys = 900;
+    constexpr std::size_t kValueBytes = 4096;
+    auto ks = (co_await fx->db.CreateKeyspace("race")).value();
+    std::map<std::string, std::string> model;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      model[MakeFixedKey(i)] =
+          PaddedEnergyValue(static_cast<float>(i), kValueBytes);
+      KVCSD_CO_ASSERT_OK(
+          co_await ks.Put(MakeFixedKey(i), model[MakeFixedKey(i)]));
+    }
+    nvme::SecondaryIndexSpec spec;
+    spec.name = "energy";
+    spec.value_offset = 28;
+    spec.value_length = 4;
+    spec.type = nvme::SecondaryKeyType::kF32;
+    // Only the index-driven case builds the index: a fold extracts every
+    // live delta value's secondary key, and the short value below has none.
+    std::vector<nvme::SecondaryIndexSpec> specs;
+    if (sidx) specs.push_back(spec);
+    KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(specs));
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+    // An in-range delta: an overwrite, a tombstone, an insert and, where
+    // no secondary key has to be extracted, a value shorter than 16 bytes.
+    const std::string overwritten = MakeFixedKey(10);
+    model[overwritten] = CsdFixture::EnergyValue(5000.0f);
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(overwritten, model[overwritten]));
+    model.erase(MakeFixedKey(30));
+    KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(30)));
+    model[MakeFixedKey(kKeys + 5)] = CsdFixture::EnergyValue(6000.0f);
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(kKeys + 5),
+                                       model[MakeFixedKey(kKeys + 5)]));
+    if (!sidx) {
+      model[MakeFixedKey(20)] = "tiny";
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(20), "tiny"));
+    }
+
+    client::KeyspaceHandle::SelectOptions opts;
+    std::string lo;
+    std::string hi(1, '\x7f');
+    if (sidx) {
+      opts.index_name = "energy";
+      lo = nvme::EncodeSecondaryF32(0.0f);
+      hi = nvme::EncodeSecondaryF32(1e9f);
+    }
+    client::SelectFuture select;
+    client::AggregateFuture sum;
+    if (agg) {
+      sum = co_await ks.AggregateAsync(
+          lo, hi, EnergyAgg(nvme::AggregateFunc::kSum), opts);
+    } else {
+      select = co_await ks.SelectAsync(lo, hi, opts);
+    }
+    auto completed = [&] {
+      return agg ? sum.completed() : select.completed();
+    };
+
+    // The scan holds the keyspace's reader count; once it drops back to
+    // zero with no answer yet, the filter is running.
+    Keyspace* raw = fx->dev.keyspaces().Find("race").value();
+    bool scanned = false;
+    while (!completed()) {
+      if (raw->active_readers > 0) {
+        scanned = true;
+      } else if (scanned) {
+        break;
+      }
+      co_await fx->sim.Delay(Microseconds(1));
+    }
+    KVCSD_CO_ASSERT(scanned && !completed());
+
+    // A PUT to a scanned delta key, then a whole fold, which seals and
+    // drops every delta entry at its commit.
+    KVCSD_CO_ASSERT_OK(
+        co_await ks.Put(overwritten, CsdFixture::EnergyValue(7000.0f)));
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    const Status folded = co_await ks.WaitCompaction();
+    KVCSD_CO_ASSERT_OK(folded);
+    KVCSD_CO_ASSERT(raw->delta_index.empty());
+    KVCSD_CO_ASSERT(!completed());  // both landed during the filter
+
+    if (agg) {
+      auto got = co_await sum.Await();
+      KVCSD_CO_ASSERT_OK(got);
+      double expected = 0;
+      for (const auto& [key, value] : model) {
+        float energy = 0;
+        if (value.size() < 32) continue;
+        std::memcpy(&energy, value.data() + 28, 4);
+        expected += energy;
+      }
+      KVCSD_CO_ASSERT(got->rows == model.size());
+      KVCSD_CO_ASSERT(got->sum == expected);
+    } else {
+      auto got = co_await select.Await();
+      KVCSD_CO_ASSERT_OK(got);
+      // Secondary order is by energy; compare as a key-ordered set.
+      std::sort(got->begin(), got->end());
+      const std::vector<std::pair<std::string, std::string>> want(
+          model.begin(), model.end());
+      KVCSD_CO_ASSERT(*got == want);
+    }
+
+    // A later scan sees the raced PUT, now folded into the run.
+    std::vector<std::pair<std::string, std::string>> after;
+    client::KeyspaceHandle::SelectOptions pick;
+    pick.pred = nvme::PredicateF32(nvme::PredicateOp::kEq, 28, 7000.0f);
+    KVCSD_CO_ASSERT_OK(co_await ks.Select("", "\x7f", pick, &after));
+    KVCSD_CO_ASSERT(after.size() == 1 && after[0].first == overwritten);
+  }(&f, via_sidx, aggregate));
+}
+
+TEST(PushdownTest, SelectAnswersRowsAsScannedAcrossPutAndFold) {
+  RunScanLifetimeRace(/*via_sidx=*/false, /*aggregate=*/false);
+  RunScanLifetimeRace(/*via_sidx=*/true, /*aggregate=*/false);
+}
+
+TEST(PushdownTest, AggregateAnswersRowsAsScannedAcrossPutAndFold) {
+  RunScanLifetimeRace(/*via_sidx=*/false, /*aggregate=*/true);
+  RunScanLifetimeRace(/*via_sidx=*/true, /*aggregate=*/true);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // errors on cached vs. uncached block reads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,18 +18,30 @@
 #include "client/client.h"
 #include "common/keys.h"
 #include "kvcsd/device.h"
+#include "kvcsd/wire.h"
 #include "sim/fault.h"
 
 namespace kvcsd::device {
 
-// White-box access to Device::GatherValues (friended): dedupe and
-// coalescing behavior is pinned directly instead of inferred from query
-// timings.
+// White-box access to Device::GatherValues, ReadIndexBlock and QueryRange
+// (friended): dedupe, coalescing and view ownership are pinned directly
+// instead of inferred from query timings.
 struct DeviceTestPeer {
   using ValueRef = Device::ValueRef;
-  static sim::Task<Result<std::vector<std::string>>> Gather(
+  static sim::Task<Result<GatheredValues>> Gather(
       Device* dev, std::vector<Device::ValueRef> refs) {
     return dev->GatherValues(std::move(refs));
+  }
+  static sim::Task<Result<std::string>> ReadBlock(Device* dev,
+                                                  std::uint64_t keyspace_id,
+                                                  const SketchEntry& entry) {
+    return dev->ReadIndexBlock(keyspace_id, entry);
+  }
+  // A primary range scan over [lo, hi]; both must outlive the await.
+  static sim::Task<Status> Scan(Device* dev, Keyspace* ks,
+                                const std::string& lo, const std::string& hi,
+                                RangeRows* out) {
+    return dev->QueryRange(ks, nullptr, lo, hi, /*limit=*/0, out);
   }
 };
 
@@ -368,6 +382,126 @@ TEST(ReadPathTest, GatherValuesDedupesIdenticalRefs) {
   // the two single-ref reference gathers add one range each.
   EXPECT_EQ(f.Counter("device.gather.dup_refs"), dups_before + 2);
   EXPECT_EQ(f.Counter("device.gather.ranges"), ranges_before + 3);
+}
+
+// Values of 1 to 23 bytes, most of them shorter than 16: short enough
+// that a std::string holding one keeps it inline, where a move relocates
+// the bytes.
+std::string ShortValue(std::uint64_t i) {
+  return std::string(1 + i % 23, static_cast<char>('A' + i % 50));
+}
+
+sim::Task<void> LoadShortValues(client::Client* db, const std::string& name,
+                                std::uint64_t count) {
+  auto ks = co_await db->CreateKeyspace(name);
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), ShortValue(i)));
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+  KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+}
+
+// GatherValues hands out views into its range buffers. Every view, a
+// duplicate ref's included, reads exactly the bytes written, in request
+// order, after the GatheredValues has been moved and the vector holding
+// it has reallocated.
+TEST(ReadPathTest, GatheredViewsReadTheWrittenBytes) {
+  ReadPathFixture f;
+  constexpr std::uint64_t kKeys = 300;
+  testutil::RunSim(f.sim, LoadShortValues(&f.db, "views", kKeys));
+  Keyspace* ks = f.dev.keyspaces().Find("views").value();
+  ASSERT_GE(ks->run.pidx_sketch.size(), 2u);
+  testutil::RunSim(f.sim, [](ReadPathFixture* fx,
+                             Keyspace* k) -> sim::Task<void> {
+    using Ref = DeviceTestPeer::ValueRef;
+    // Every run value's (addr, len), from the PIDX blocks.
+    std::map<std::string, Ref> where;
+    wire::IndexBlockDecoder decoder(wire::IndexKind::kPidx);
+    for (const SketchEntry& e : k->run.pidx_sketch) {
+      auto block = co_await DeviceTestPeer::ReadBlock(&fx->dev, k->id, e);
+      KVCSD_CO_ASSERT_OK(block);
+      KVCSD_CO_ASSERT_OK(decoder.Open(std::move(*block), e.pivot));
+      while (!decoder.done()) {
+        wire::IndexEntry entry;
+        KVCSD_CO_ASSERT_OK(decoder.Next(&entry));
+        where[entry.pkey.ToString()] = Ref{entry.vaddr, entry.vlen};
+      }
+    }
+    KVCSD_CO_ASSERT(where.size() == kKeys);
+
+    // Descending keys (so the extents arrive out of address order), every
+    // third key asked for twice.
+    std::vector<Ref> refs;
+    std::vector<std::uint64_t> asked;
+    for (std::uint64_t i = kKeys; i-- > 0;) {
+      const int copies = i % 3 == 0 ? 2 : 1;
+      for (int c = 0; c < copies; ++c) {
+        refs.push_back(where[MakeFixedKey(i)]);
+        asked.push_back(i);
+      }
+    }
+    auto got = co_await DeviceTestPeer::Gather(&fx->dev, refs);
+    KVCSD_CO_ASSERT_OK(got);
+    std::vector<GatheredValues> held;
+    held.push_back(std::move(*got));
+    held.resize(64);  // reallocates: the GatheredValues moves again
+    const GatheredValues& values = held[0];
+    KVCSD_CO_ASSERT(values.size() == refs.size());
+    for (std::size_t r = 0; r < refs.size(); ++r) {
+      KVCSD_CO_ASSERT(values[r] == Slice(ShortValue(asked[r])));
+      if (r > 0 && asked[r] == asked[r - 1]) {
+        // A duplicate ref shares its first's bytes.
+        KVCSD_CO_ASSERT(values[r].data() == values[r - 1].data());
+      }
+    }
+  }(&f, ks));
+}
+
+// A range scan's rows own their bytes: run rows' keys in the arena and
+// values in the gather's buffers, delta rows copied whole. After the scan
+// returns, neither a moved RangeRows nor a rewritten delta changes what
+// the rows read.
+TEST(ReadPathTest, RangeRowsOwnTheirBytes) {
+  ReadPathFixture f;
+  constexpr std::uint64_t kKeys = 200;
+  testutil::RunSim(f.sim, LoadShortValues(&f.db, "rows", kKeys));
+  Keyspace* ks = f.dev.keyspaces().Find("rows").value();
+  testutil::RunSim(f.sim, [](ReadPathFixture* fx,
+                             Keyspace* k) -> sim::Task<void> {
+    auto h = co_await fx->db.OpenKeyspace("rows");
+    KVCSD_CO_ASSERT_OK(h);
+    std::map<std::string, std::string> model;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      model[MakeFixedKey(i)] = ShortValue(i);
+    }
+    // Short delta values: an overwrite, an insert, and a tombstone.
+    model[MakeFixedKey(7)] = "d7";
+    KVCSD_CO_ASSERT_OK(co_await h->Put(MakeFixedKey(7), "d7"));
+    model[MakeFixedKey(kKeys + 1)] = "new";
+    KVCSD_CO_ASSERT_OK(co_await h->Put(MakeFixedKey(kKeys + 1), "new"));
+    model.erase(MakeFixedKey(9));
+    KVCSD_CO_ASSERT_OK(co_await h->Delete(MakeFixedKey(9)));
+
+    const std::string lo;
+    const std::string hi(1, '\x7f');
+    RangeRows scanned;
+    KVCSD_CO_ASSERT_OK(
+        co_await DeviceTestPeer::Scan(&fx->dev, k, lo, hi, &scanned));
+    // The delta changes under the returned rows.
+    KVCSD_CO_ASSERT_OK(co_await h->Put(MakeFixedKey(7), "changed"));
+    KVCSD_CO_ASSERT_OK(co_await h->Put(MakeFixedKey(kKeys + 1), "changed"));
+    std::vector<RangeRows> held;
+    held.push_back(std::move(scanned));
+    held.resize(16);  // reallocates: the RangeRows moves again
+    std::vector<std::pair<std::string, std::string>> got;
+    for (const auto& [pkey, value] : held[0].rows) {
+      got.emplace_back(pkey.ToString(), value.ToString());
+    }
+    const std::vector<std::pair<std::string, std::string>> want(
+        model.begin(), model.end());
+    KVCSD_CO_ASSERT(got == want);
+  }(&f, ks));
 }
 
 sim::Task<void> TiedQuery(client::Client* db, std::uint32_t limit,

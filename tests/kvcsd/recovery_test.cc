@@ -633,7 +633,7 @@ enum class IndexReader : std::uint8_t {
 };
 enum class IndexDamage : std::uint8_t {
   kUndersized,  // block_len = 1: shorter than the block header
-  kSwapped,     // two sketch entries' blocks swapped: order violation
+  kSwapped,     // two sketch entries' blocks swapped: pivot mismatch
 };
 struct CorruptIndexCase {
   IndexReader reader;
@@ -758,11 +758,13 @@ TEST_P(CorruptIndexBlockRecoveryTest, ReturnsCorruption) {
 }
 
 // A point Get reads one block, whose own entries are in order however its
-// sketch entry was swapped; only the undersized block reaches it.
+// sketch entry was swapped; the swap shows as a first entry that is not
+// the block's pivot.
 INSTANTIATE_TEST_SUITE_P(
     Readers, CorruptIndexBlockRecoveryTest,
     ::testing::Values(
         CorruptIndexCase{IndexReader::kGet, IndexDamage::kUndersized},
+        CorruptIndexCase{IndexReader::kGet, IndexDamage::kSwapped},
         CorruptIndexCase{IndexReader::kScan, IndexDamage::kUndersized},
         CorruptIndexCase{IndexReader::kScan, IndexDamage::kSwapped},
         CorruptIndexCase{IndexReader::kSecondaryRange,
